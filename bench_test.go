@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"bcnphase/internal/analytic"
 	"bcnphase/internal/cluster"
 	"bcnphase/internal/core"
 	"bcnphase/internal/experiments"
@@ -240,18 +239,16 @@ func BenchmarkPaperScale(b *testing.B) { benchExperiment(b, experiments.PaperSca
 // BenchmarkFaultTolerance regenerates the feedback-degradation study.
 func BenchmarkFaultTolerance(b *testing.B) { benchExperiment(b, experiments.FaultTolerance) }
 
-// --- Analytic sweep engine: the paper-scale gain grid through the ---
-// --- canonical row evaluator, sampling-free vs classic sampled.    ---
+// --- Gain-plane sweep: the paper-scale grid through the canonical ---
+// --- row evaluator.                                                ---
 
-// benchSweepEngine times cluster.GainGrid.EvalBatch — the row pipeline
-// behind bcnsweep, serve sweep jobs, and cluster shards — over a
-// 16×16 (Gi, Gd) grid and reports throughput as points/s, the gauge
+// BenchmarkSweepAnalytic times cluster.GainGrid.EvalBatch — the row
+// pipeline behind bcnsweep, serve sweep jobs, and cluster shards — over
+// a 16×16 (Gi, Gd) grid and reports throughput as points/s, the gauge
 // BENCH_<n>.json trajectory comparisons gate on.
-func benchSweepEngine(b *testing.B, engine string) {
-	b.Helper()
+func BenchmarkSweepAnalytic(b *testing.B) {
 	g := cluster.GainGrid{
-		BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1,
-		Steps: 16, Analytic: engine,
+		BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 16,
 	}
 	pts := g.Points()
 	rows := make([]cluster.Row, len(pts))
@@ -265,41 +262,6 @@ func benchSweepEngine(b *testing.B, engine string) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(pts))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-}
-
-// BenchmarkSweepAnalytic is the sampling-free closed-form path
-// (default engine).
-func BenchmarkSweepAnalytic(b *testing.B) { benchSweepEngine(b, "on") }
-
-// BenchmarkSweepClassic is the classic sampled-solver path the
-// analytic engine replaced as the sweep default.
-func BenchmarkSweepClassic(b *testing.B) { benchSweepEngine(b, "off") }
-
-// BenchmarkSweepRK45 solves the same grid by pure numerical
-// integration (the analytic engine's fallback integrator), the
-// RK45-only baseline of the ISSUE #10 ≥5× acceptance gate.
-func BenchmarkSweepRK45(b *testing.B) {
-	g := cluster.GainGrid{
-		BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 16,
-	}
-	base := g.Base()
-	gridPts := g.Points()
-	params := make([]core.Params, len(gridPts))
-	for i, pt := range gridPts {
-		p := base
-		p.Gi, p.Gd = pt.Gi, pt.Gd
-		params[i] = p
-	}
-	batch := analytic.NewBatch(len(params))
-	opts := analytic.Options{Mode: analytic.ModeOff}
-	batch.Solve(params, opts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Solve(params, opts)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(params))*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 }
 
 // --- Invariant-checker overhead on the X1 scenario. ---

@@ -15,7 +15,6 @@ import (
 	"os"
 	"time"
 
-	"bcnphase/internal/analytic"
 	"bcnphase/internal/core"
 	"bcnphase/internal/invariant"
 	"bcnphase/internal/invariant/xcheck"
@@ -50,7 +49,6 @@ func run(args []string, out io.Writer) error {
 		size   = fs.Bool("size", false, "print inverse provisioning: max flows/Gi, min Gd, max q0 for this buffer")
 		trans  = fs.Bool("transient", false, "print transient metrics (overshoot, period, settling)")
 		invPol = fs.String("invariants", "off", "runtime invariant checking: off, record, strict or clamp")
-		engine = fs.String("analytic", "on", "cross-check against the sampling-free analytic engine: on, auto, or off. Skipped automatically under a non-off -invariants policy or -warmup")
 		xc     = fs.Bool("xcheck", false, "cross-validate the stitched trajectory against an independent numerical integration")
 		telem  = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 	)
@@ -58,10 +56,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	policy, err := invariant.ParsePolicy(*invPol)
-	if err != nil {
-		return err
-	}
-	mode, err := analytic.ParseMode(*engine)
 	if err != nil {
 		return err
 	}
@@ -144,21 +138,6 @@ func run(args []string, out io.Writer) error {
 		tr.MaxQueue(), tr.MinQueue(), len(tr.Segments), len(tr.Crossings))
 	if tr.Rho > 0 && tr.Rho < 1 {
 		fmt.Fprintf(out, "transient:  rounds to halve amplitude=%.4g\n", math.Log(0.5)/math.Log(tr.Rho))
-	}
-	// Engine cross-check: the sampling-free analytic engine must agree
-	// with the sampled trajectory on the classification (they share the
-	// closed forms bit for bit). The analytic engine knows nothing about
-	// warmup starts or invariant instrumentation, so those runs skip it.
-	if mode != analytic.ModeOff && policy == invariant.Off && *warmup < 0 {
-		res, err := analytic.SolveOne(p, analytic.Options{Mode: mode})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "engine:     path=%s outcome=%v  exact max q=%.6g min q=%.6g\n",
-			res.Path, res.Outcome, res.MaxQueue(p), res.MinQueue(p))
-		if res.Outcome != tr.Outcome {
-			return fmt.Errorf("analytic engine disagrees with sampled solve: %v vs %v", res.Outcome, tr.Outcome)
-		}
 	}
 	if v.Disagreement {
 		fmt.Fprintln(out, "NOTE: linear theory declares this system stable, but it is NOT strongly stable")

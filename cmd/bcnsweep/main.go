@@ -97,7 +97,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout  = fs.Duration("point-timeout", time.Minute, "hard deadline per grid point (0 = none)")
 		resume   = fs.String("resume", "", "run directory holding the journal; completed points are skipped on restart and map.csv is written here")
 		invPol   = fs.String("invariants", "off", "runtime invariant checking per point: off, record, strict or clamp")
-		engine   = fs.String("analytic", "on", "row engine: on or auto (sampling-free closed-form solver; exact extrema), off (classic sampled solver). Non-off -invariants forces the classic path")
 		telem    = fs.String("telemetry", "", "directory to write telemetry.json (metrics summary) and trace.jsonl")
 		clusterC = fs.String("cluster", "", "submit the grid to a bcnd coordinator instead of evaluating locally; comma-separated URLs name an HA replica group and the client fails over between them")
 		tenant   = fs.String("tenant", "", "cluster mode: tenant key sent as Bcn-Tenant (empty = anonymous)")
@@ -109,8 +108,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *steps < 2 {
 		return fmt.Errorf("steps must be >= 2, got %d", *steps)
 	}
-	// The registry always exists: the engine summary line reads the
-	// analytic arc counters even without -telemetry. With -telemetry the
+	// The registry always exists: the summary line reads the analytic
+	// arc counter even without -telemetry. With -telemetry the
 	// same registry is additionally dumped as a JSON metrics summary plus
 	// a span trace on every exit path, including an interrupted
 	// (resumable) one.
@@ -146,17 +145,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mode, err := analytic.ParseMode(*engine)
-	if err != nil {
-		return err
-	}
 	grid := cluster.GainGrid{
 		BOverQ0: *bOverQ0,
 		GiLo:    *giLo, GiHi: *giHi,
 		GdLo: *gdLo, GdHi: *gdHi,
 		Steps:      *steps,
 		Invariants: policy.String(),
-		Analytic:   mode.String(),
 	}
 	if base := grid.Base(); base.B <= base.Q0 {
 		return fmt.Errorf("buffer multiple %v leaves B <= q0", *bOverQ0)
@@ -225,8 +219,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		// widen the crash window.
 		results, _ = sweep.RunCheckpointed(ctx, points, eval, opts, journal, keyFn)
 	} else {
-		// Journal-free sweeps batch points per worker slot so one warm
-		// analytic Solver (and one supervision round) serves a whole span.
+		// Journal-free sweeps batch points per worker slot so one
+		// supervision round serves a whole span.
 		results, _ = sweep.RunBatched(ctx, points, localBatchSize,
 			func(ctx context.Context, pts []gainPoint, rows []row) error {
 				if evalHook != nil {
@@ -266,16 +260,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			tally.Dirty, tally.Points, tally.Total, tally.ByPredicate)
 	}
 
-	// Rate and engine summary: how fast the grid went and which engine
-	// stitched its arcs (rk45 arcs come from ModeOff or the non-finite
-	// fallback, so nonzero rk45 counts under -analytic on deserve a
-	// look).
+	// Rate summary: how fast the grid went and how many arcs it took.
 	if wall := time.Since(began).Seconds(); wall > 0 {
-		fmt.Fprintf(os.Stderr, "bcnsweep: %d points in %.3gs (%.4g points/sec); arcs: analytic=%d rk45=%d (fallbacks=%d)\n",
-			done, wall, float64(done)/wall,
-			analyticMetrics.Arcs.With("analytic").Value(),
-			analyticMetrics.Arcs.With("rk45").Value(),
-			analyticMetrics.RK45Fallbacks.Value())
+		fmt.Fprintf(os.Stderr, "bcnsweep: %d points in %.3gs (%.4g points/sec); arcs: %d\n",
+			done, wall, float64(done)/wall, analyticMetrics.Arcs.Value())
 	}
 
 	// An interrupted sweep exits resumable without publishing map.csv —

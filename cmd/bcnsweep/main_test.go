@@ -331,13 +331,13 @@ func TestRunSweepTelemetry(t *testing.T) {
 	if v := sum.Metrics.Value("bcnsweep_points_per_second"); v <= 0 {
 		t.Errorf("bcnsweep_points_per_second = %v, want > 0", v)
 	}
-	// Default engine is analytic: the closed-form counters light up and
-	// the classic solver stays untouched.
+	// Rows come from knots-only verdicts: the analytic counters light up
+	// and the sampled solver's stay untouched.
 	if v := sum.Metrics.Value("analytic_solves_total"); v != 9 {
 		t.Errorf("analytic_solves_total = %v, want 9", v)
 	}
 	if v := sum.Metrics.Value("core_solves_total"); v != 0 {
-		t.Errorf("core_solves_total = %v, want 0 (analytic engine default-on)", v)
+		t.Errorf("core_solves_total = %v, want 0 (no sampled solves)", v)
 	}
 	trace, err := os.ReadFile(filepath.Join(dir, "trace.jsonl"))
 	if err != nil {

@@ -1,96 +1,36 @@
-// Package analytic is the sampling-free fast path of the phase-plane
-// engine: it stitches the same closed-form arcs as core.Solve (paper
-// §IV-B, eqs. 12–34) but evaluates only the junction quantities — exact
-// switching times, extrema and boundary-crossing times — instead of a
-// 64-sample polyline per arc. A Solver carries reusable buffers, so in
-// steady state a solve allocates nothing; the Batch structure-of-arrays
-// API amortizes one Solver across K parameter points per call.
+// Package analytic is the batch front end of the phase-plane kernel: a
+// structure-of-arrays Batch that classifies K parameter points per call
+// through core.Classify (paper §IV-B, eqs. 12–34) and reports each
+// verdict as columns, plus the analytic_* telemetry family the sweep
+// tools expose.
 //
-// The engine exists for the hot paths: gain-plane sweeps (cmd/bcnsweep,
-// cluster shards) and bcnd solve/sweep jobs classify millions of
-// parameter points and need only the verdict (outcome, extrema,
-// contraction ratio), never the polyline. core.Solve remains the
-// engine behind figures, invariant-checked runs and anything that needs
-// sampled trajectories; this package reproduces its classification
-// exactly — same arc construction, same epsilons, same termination
-// logic — minus the sampling, so the two agree bit-for-bit on every
-// finite result (asserted across the sweep grid in engine_test.go and
-// continuously by invariant/xcheck).
-//
-// Two escape hatches keep the closed forms honest:
-//
-//   - ModeOff classifies by stitched Dormand-Prince integration alone
-//     (internal/ode), knowing nothing about the solution forms. It is
-//     the validation baseline that FuzzAnalyticVsRK45, the xcheck
-//     harness and the speedup gate compare against.
-//   - A closed-form arc that evaluates to a non-finite state mid-stitch
-//     falls back to the RK45 path for that point (counted in Metrics).
+// The batch adds no arithmetic of its own. core holds the only
+// closed-form stitching loop and the only arc implementation, so a
+// Batch column is bit-identical to the core.Summary of the same point,
+// and a warm Batch solves with zero allocations (TestBatchSolveAllocs).
 package analytic
 
 import (
 	"fmt"
-	"math"
-	"sync"
 
 	"bcnphase/internal/core"
 )
 
-// Mode selects the solving strategy.
-type Mode int
+// Options configures a batch solve; it is core.SolveOptions, applied
+// uniformly to every point.
+type Options = core.SolveOptions
 
-// The engine modes, as spelled by the -analytic flag and job specs.
-const (
-	// ModeOn (the default) stitches closed-form arcs and falls back to
-	// RK45 only for arcs whose closed form goes non-finite.
-	ModeOn Mode = iota
-	// ModeAuto currently behaves like ModeOn; the name is reserved for
-	// future cost-based selection between the closed forms and the
-	// integrator, so specs written today keep meaning "let the engine
-	// choose" tomorrow.
-	ModeAuto
-	// ModeOff disables the closed forms entirely: classification runs on
-	// stitched numerical integration (the validation baseline).
-	ModeOff
-)
-
-// ParseMode parses an -analytic flag or spec value. The empty string is
-// ModeOn, matching the default-on contract of the CLIs and bcnd.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "on":
-		return ModeOn, nil
-	case "auto":
-		return ModeAuto, nil
-	case "off":
-		return ModeOff, nil
-	default:
-		return 0, fmt.Errorf("analytic: unknown mode %q (want on, auto or off)", s)
-	}
-}
-
-// String spells the mode as ParseMode reads it.
-func (m Mode) String() string {
-	switch m {
-	case ModeOn:
-		return "on"
-	case ModeAuto:
-		return "auto"
-	case ModeOff:
-		return "off"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// Path records which engine actually produced a result.
+// Path records which engine produced a batch column.
 type Path int
 
 // The execution paths.
 const (
-	// PathAnalytic: closed-form arc stitching end to end.
+	// PathAnalytic: closed-form arc stitching end to end. Every solved
+	// point reports it.
 	PathAnalytic Path = iota + 1
-	// PathRK45: stitched numerical integration (ModeOff, or the
-	// non-finite fallback).
+	// PathRK45 names stitched numerical integration. The kernel has no
+	// numerical fallback, so no point reports it; the value stays so
+	// readers of the Path column can keep counting it (as zero).
 	PathRK45
 )
 
@@ -103,213 +43,5 @@ func (p Path) String() string {
 		return "rk45"
 	default:
 		return fmt.Sprintf("Path(%d)", int(p))
-	}
-}
-
-// Options configures a solve. The zero value matches core.SolveOptions
-// defaults: canonical start (−q0, 0), buffer enforced, short-circuit
-// convergence on.
-type Options struct {
-	// Mode selects the engine (default ModeOn).
-	Mode Mode
-	// Start overrides the initial state (x0, y0); nil means (−q0, 0).
-	Start *[2]float64
-	// MaxArcs bounds the number of stitched arcs (default 1e6).
-	MaxArcs int
-	// ConvergeTol is the relative convergence tolerance (default 1e-3),
-	// identical to core.SolveOptions.
-	ConvergeTol float64
-	// CycleTol is the relative limit-cycle tolerance (default 1e-6).
-	CycleTol float64
-	// DisableShortCircuit turns off the analytic convergence
-	// short-circuit (contraction ratio < 1 after a buffer-checked round).
-	DisableShortCircuit bool
-	// IgnoreBuffer disables overflow/underflow termination.
-	IgnoreBuffer bool
-	// OnCrossing, when non-nil, observes every switching-line crossing as
-	// it is stitched (global time, state, region entered). The hook costs
-	// one nil check per crossing; the xcheck harness uses it to capture
-	// junction points without the engine allocating a crossing list.
-	OnCrossing func(t, x, y float64, to core.Region)
-	// Metrics optionally attaches engine counters. Nil costs one
-	// comparison per solve.
-	Metrics *Metrics
-}
-
-func (o Options) withDefaults(p core.Params) Options {
-	if o.MaxArcs <= 0 {
-		o.MaxArcs = 1_000_000
-	}
-	if o.ConvergeTol <= 0 {
-		o.ConvergeTol = 1e-3
-	}
-	if o.CycleTol <= 0 {
-		o.CycleTol = 1e-6
-	}
-	if o.Start == nil {
-		o.Start = &[2]float64{-p.Q0, 0}
-	}
-	return o
-}
-
-// Result is the verdict of one solve: everything a sweep row or a solve
-// artifact needs, nothing that requires sampling. Extremes are exact
-// (closed-form extremum states), so MaxX here is ≥ the polyline-sampled
-// core.Trajectory.MaxX for the same point.
-type Result struct {
-	// Outcome classifies how the trajectory ended (same taxonomy and
-	// same decision logic as core.Solve).
-	Outcome core.Outcome
-	// Path records which engine produced this result.
-	Path Path
-	// Arcs counts stitched arcs (terminal boundary-truncated arcs
-	// excluded, matching len(core.Trajectory.Segments)).
-	Arcs int
-	// Crossings counts switching-line crossings.
-	Crossings int
-	// Extrema counts recorded x-extrema.
-	Extrema int
-	// MaxX, MinX are the extreme x excursions (shifted coordinates).
-	// Both are exact knot values; the t = 0 launch knot counts, so a
-	// canonical start reports MinX = −q0 exactly — the infimum that
-	// core.Solve's polyline approaches as sample density grows.
-	MaxX, MinX float64
-	// Rho is the measured per-round contraction ratio (0 when fewer than
-	// two same-side returns were seen).
-	Rho float64
-	// EndT, EndX, EndY is the final state.
-	EndT, EndX, EndY float64
-	// FirstMaxT/X and FirstMinT/X are the first recorded maximum and
-	// minimum of x (NaN when none occurred) — the paper's first-round
-	// transient peak and trough.
-	FirstMaxT, FirstMaxX float64
-	FirstMinT, FirstMinX float64
-}
-
-// MaxQueue returns the peak queue length q0 + MaxX in bits.
-func (r Result) MaxQueue(p core.Params) float64 { return p.Q0 + r.MaxX }
-
-// MinQueue returns the minimum queue length q0 + MinX in bits.
-func (r Result) MinQueue(p core.Params) float64 { return p.Q0 + r.MinX }
-
-// Solver stitches arcs with reusable buffers. The zero value is ready;
-// a Solver is not safe for concurrent use (give each worker its own, or
-// use SolveOne).
-type Solver struct {
-	// enterDecrease accumulates same-side return amplitudes for the
-	// contraction measurement; reused across solves.
-	enterDecrease []float64
-	// rk holds the RK45 path's reusable state slices.
-	rk rkScratch
-}
-
-// NewSolver returns a Solver with warm buffers.
-func NewSolver() *Solver {
-	return &Solver{enterDecrease: make([]float64, 0, 64)}
-}
-
-// Solve classifies one parameter point. For valid parameters under
-// ModeOn/ModeAuto the closed-form path handles every arc (the three
-// solution families cover all positive m, n); the RK45 fallback exists
-// for the defensive non-finite case and is counted when taken.
-func (s *Solver) Solve(p core.Params, opts Options) (Result, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, err
-	}
-	opts = opts.withDefaults(p)
-	var (
-		res Result
-		err error
-	)
-	if opts.Mode == ModeOff {
-		res, err = s.solveRK45(p, opts)
-	} else {
-		var ok bool
-		res, ok, err = s.solveClosed(p, opts)
-		if err == nil && !ok {
-			if opts.Metrics != nil {
-				opts.Metrics.RK45Fallbacks.Inc()
-			}
-			res, err = s.solveRK45(p, opts)
-		}
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.Metrics != nil {
-		opts.Metrics.observe(&res)
-	}
-	return res, nil
-}
-
-// solverPool backs SolveOne so one-shot callers still hit warm buffers.
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}
-
-// SolveOne classifies one point using a pooled Solver; safe for
-// concurrent use.
-func SolveOne(p core.Params, opts Options) (Result, error) {
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	return s.Solve(p, opts)
-}
-
-// extremes tracks exact excursion knots. Where core.Solve excuses the
-// boundary-resting launch sample and then records polyline points
-// arbitrarily close to it (its MinX tends to the launch value −q0 as
-// sample density grows), the exact engine reports that infimum
-// directly: the t = 0 knot counts, so a canonical launch has
-// MinX = −q0 exactly.
-type extremes struct {
-	maxX, minX float64
-	firstMaxT  float64
-	firstMaxX  float64
-	firstMinT  float64
-	firstMinX  float64
-	startX     float64
-	seen       bool
-}
-
-func newExtremes(startX float64) extremes {
-	return extremes{
-		maxX: math.Inf(-1), minX: math.Inf(1),
-		firstMaxT: math.NaN(), firstMaxX: math.NaN(),
-		firstMinT: math.NaN(), firstMinX: math.NaN(),
-		startX: startX,
-	}
-}
-
-// add folds one exact knot (arc junction, extremum, boundary hit or
-// terminal state) into the excursion extremes.
-func (e *extremes) add(x float64) {
-	e.seen = true
-	if x > e.maxX {
-		e.maxX = x
-	}
-	if x < e.minX {
-		e.minX = x
-	}
-}
-
-// finishInto seals the extremes into res, mirroring core.Solve's
-// fallback: a trajectory whose every knot was launch-excused reports the
-// start state as both extremes.
-func (e *extremes) finishInto(res *Result) {
-	if !e.seen {
-		e.maxX, e.minX = e.startX, e.startX
-	}
-	res.MaxX, res.MinX = e.maxX, e.minX
-	res.FirstMaxT, res.FirstMaxX = e.firstMaxT, e.firstMaxX
-	res.FirstMinT, res.FirstMinX = e.firstMinT, e.firstMinX
-}
-
-// extremum records one x-extremum (a y-zero) knot.
-func (e *extremes) extremum(t, x float64, isMax bool) {
-	e.add(x)
-	if isMax {
-		if math.IsNaN(e.firstMaxT) {
-			e.firstMaxT, e.firstMaxX = t, x
-		}
-	} else if math.IsNaN(e.firstMinT) {
-		e.firstMinT, e.firstMinX = t, x
 	}
 }

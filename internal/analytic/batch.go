@@ -21,12 +21,13 @@ type Batch struct {
 	// Err holds per-point failures (invalid params); nil entries solved.
 	Err []error
 
-	solver Solver
+	// Metrics optionally receives one aggregate flush per Solve call.
+	Metrics *Metrics
 }
 
 // NewBatch returns a Batch with capacity for n points.
 func NewBatch(n int) *Batch {
-	b := &Batch{solver: Solver{enterDecrease: make([]float64, 0, 64)}}
+	b := &Batch{}
 	b.Resize(n)
 	return b
 }
@@ -63,98 +64,29 @@ func grow[T any](s []T, n int) []T {
 func (b *Batch) Len() int { return len(b.Outcome) }
 
 // Solve classifies every point of params into the batch columns,
-// resizing to len(params). Per-point options apply uniformly; metrics
-// are aggregated locally and flushed to the registry once per call.
-// Point failures land in Err[i] — Solve itself never fails.
+// resizing to len(params). The options apply uniformly; metrics are
+// aggregated locally and flushed to b.Metrics once per call. Point
+// failures land in Err[i] — Solve itself never fails.
 func (b *Batch) Solve(params []core.Params, opts Options) {
 	b.Resize(len(params))
-	// Strip the per-point metrics hook: the loop below flushes one
-	// aggregate instead of len(params) registry touches.
-	m := opts.Metrics
-	opts.Metrics = nil
-
-	var agg batchAgg
+	var agg tally
 	for i := range params {
-		res, err := b.solver.Solve(params[i], opts)
+		s, err := core.Classify(params[i], opts)
 		if err != nil {
 			b.Err[i] = err
-			b.Outcome[i] = 0
-			b.Path[i] = 0
 			continue
 		}
-		b.Err[i] = nil
-		b.Outcome[i] = res.Outcome
-		b.Path[i] = res.Path
-		b.Arcs[i] = res.Arcs
-		b.Crossings[i] = res.Crossings
-		b.MaxX[i] = res.MaxX
-		b.MinX[i] = res.MinX
-		b.Rho[i] = res.Rho
-		b.EndT[i] = res.EndT
-		b.EndX[i] = res.EndX
-		b.EndY[i] = res.EndY
-		if opts.Mode != ModeOff && res.Path == PathRK45 {
-			agg.fallbacks++
-		}
-		agg.fold(&res)
+		b.Outcome[i] = s.Outcome
+		b.Path[i] = PathAnalytic
+		b.Arcs[i] = s.Arcs
+		b.Crossings[i] = s.Crossings
+		b.MaxX[i] = s.MaxX
+		b.MinX[i] = s.MinX
+		b.Rho[i] = s.Rho
+		b.EndT[i] = s.EndT
+		b.EndX[i] = s.EndX
+		b.EndY[i] = s.EndY
+		agg.fold(&s)
 	}
-	agg.flushTo(m)
-}
-
-// SolveBatch classifies params in one batched call and returns the
-// batch. Callers that solve repeatedly should hold a *Batch and call
-// its Solve method to reuse the arrays.
-func SolveBatch(params []core.Params, opts Options) *Batch {
-	b := NewBatch(len(params))
-	b.Solve(params, opts)
-	return b
-}
-
-// batchAgg accumulates metrics locally during a batch loop. Outcome
-// tallies index core.Outcome values directly (small dense enum).
-type batchAgg struct {
-	solves, arcs       [2]uint64 // indexed by Path-1
-	crossings, extrema uint64
-	fallbacks          uint64
-	outcomes           [8]uint64
-}
-
-func (a *batchAgg) fold(res *Result) {
-	if res.Path == PathAnalytic || res.Path == PathRK45 {
-		a.solves[res.Path-1]++
-		a.arcs[res.Path-1] += uint64(res.Arcs)
-	}
-	a.crossings += uint64(res.Crossings)
-	a.extrema += uint64(res.Extrema)
-	if o := int(res.Outcome); o > 0 && o < len(a.outcomes) {
-		a.outcomes[o]++
-	}
-}
-
-func (a *batchAgg) flushTo(m *Metrics) {
-	if m == nil {
-		return
-	}
-	for i, p := range [...]Path{PathAnalytic, PathRK45} {
-		if a.solves[i] > 0 {
-			m.Solves.With(p.String()).Add(a.solves[i])
-		}
-		if a.arcs[i] > 0 {
-			m.Arcs.With(p.String()).Add(a.arcs[i])
-		}
-	}
-	if a.crossings > 0 {
-		m.Crossings.Add(a.crossings)
-	}
-	if a.extrema > 0 {
-		m.Extrema.Add(a.extrema)
-	}
-	if a.fallbacks > 0 {
-		m.RK45Fallbacks.Add(a.fallbacks)
-	}
-	for o := 1; o < len(a.outcomes); o++ {
-		if a.outcomes[o] > 0 {
-			m.Outcomes.With(core.Outcome(o).String()).Add(a.outcomes[o])
-		}
-	}
+	b.Metrics.flush(&agg)
 }

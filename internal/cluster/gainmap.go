@@ -33,16 +33,6 @@ type GainGrid struct {
 	// of the grid's identity: rows computed under one policy must never
 	// replay under another.
 	Invariants string `json:"invariants,omitempty"`
-	// Analytic selects the row engine ("on", "auto", "off"); empty means
-	// on. On/auto rows come from the sampling-free closed-form engine
-	// (internal/analytic) and report exact extrema; off rows come from
-	// the classic sampled core.Solve. The analytic engine carries no
-	// invariant instrumentation, so any non-off Invariants policy forces
-	// the classic path regardless of this field. Like Invariants it is
-	// part of the grid's identity: max_q_bits differs between exact and
-	// sampled extrema, so rows from one engine must never replay as the
-	// other's.
-	Analytic string `json:"analytic,omitempty"`
 }
 
 // MaxClusterSteps caps the per-axis resolution a coordinator accepts
@@ -91,7 +81,6 @@ type gridIdentity struct {
 	GdLo, GdHi float64
 	Steps      int
 	Invariants string
-	Analytic   string
 }
 
 // Validate checks the grid's structural and physical feasibility.
@@ -120,9 +109,6 @@ func (g GainGrid) Validate() error {
 	if _, err := invariant.ParsePolicy(g.Invariants); err != nil {
 		return fail("%v", err)
 	}
-	if _, err := analytic.ParseMode(g.Analytic); err != nil {
-		return fail("%v", err)
-	}
 	return nil
 }
 
@@ -131,19 +117,6 @@ func (g GainGrid) Validate() error {
 func (g GainGrid) Policy() invariant.Policy {
 	pol, _ := invariant.ParsePolicy(g.Invariants)
 	return pol
-}
-
-// AnalyticMode returns the grid's parsed engine mode (ModeOn for
-// empty). The grid must have passed Validate.
-func (g GainGrid) AnalyticMode() analytic.Mode {
-	m, _ := analytic.ParseMode(g.Analytic)
-	return m
-}
-
-// analyticActive reports whether rows come from the closed-form engine:
-// the mode allows it and no invariant instrumentation is requested.
-func (g GainGrid) analyticActive() bool {
-	return g.AnalyticMode() != analytic.ModeOff && g.Policy() == invariant.Off
 }
 
 // Base materializes the shared parameter set every point perturbs: the
@@ -176,22 +149,18 @@ func (g GainGrid) Fingerprint() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("cluster: %v", err)
 	}
-	mode, err := analytic.ParseMode(g.Analytic)
-	if err != nil {
-		return "", fmt.Errorf("cluster: %v", err)
-	}
 	return runstate.HashJSON(gridIdentity{
 		Experiment: "bcnsweep/gainmap",
-		// Format 3: rows may come from the analytic engine (exact extrema
-		// in max_q_bits), so the engine mode joins the identity and every
-		// pre-engine journal key is retired.
-		Format:  3,
+		// Format 4: every row comes from the one closed-form kernel
+		// (exact extrema in max_q_bits under every invariant policy), so
+		// the engine mode left the identity and every Format 3 journal
+		// key is retired.
+		Format:  4,
 		BOverQ0: g.BOverQ0,
 		GiLo:    g.GiLo, GiHi: g.GiHi,
 		GdLo: g.GdLo, GdHi: g.GdHi,
 		Steps:      g.Steps,
 		Invariants: pol.String(),
-		Analytic:   mode.String(),
 	})
 }
 
@@ -208,18 +177,16 @@ func PointKey(fingerprint string, pt GainPoint) string {
 	return key
 }
 
-// EvalMetrics bundles the per-engine instruments a row evaluation may
-// touch. The zero value is inert.
+// EvalMetrics bundles the instruments a row evaluation touches. The
+// zero value is inert.
 type EvalMetrics struct {
-	// Solve instruments the classic sampled path (core.Solve).
+	// Solve instruments the sampled solves rows under a checked
+	// invariant policy run (core_* family: counts, per-region dwell,
+	// wall-clock).
 	Solve *core.SolveMetrics
-	// Analytic instruments the closed-form engine path.
+	// Analytic counts every row verdict (analytic_* family).
 	Analytic *analytic.Metrics
 }
-
-// rowFormat is the Sprintf layout of one map.csv row; both engines
-// render through it so the column shapes cannot drift apart.
-const rowFormat = "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s"
 
 // Eval evaluates one grid point to its CSV row: the linear criterion of
 // [4], the Theorem 1 sufficient condition, and the phase-plane ground
@@ -227,107 +194,64 @@ const rowFormat = "%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s"
 // shard executor in internal/serve, and the chaos tests all call it,
 // which is what makes "byte-identical to a single-node run" a property
 // instead of a hope.
-//
-// When the grid's engine mode is on/auto and its invariant policy is
-// off, the verdict comes from the sampling-free closed-form engine
-// (internal/analytic) and the linear columns from the Routh–Hurwitz
-// criterion directly — no sampled trajectory is built at all, which is
-// where the sweep's order-of-magnitude speedup lives. Otherwise the row
-// runs the classic instrumented core.Solve.
 func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, error) {
 	// Cooperative cancellation point: a drained point fails with ctx.Err
 	// (and is not journaled) instead of racing the shutdown.
 	if err := ctx.Err(); err != nil {
 		return Row{}, err
 	}
-	p := g.Base()
+	return g.row(g.Base(), pt, m)
+}
+
+// EvalBatch evaluates a contiguous span of grid points, writing the row
+// of pts[i] into out[i] (len(out) must equal len(pts)). It is Eval's
+// batch shape — sweep.BatchFunc compatible — and its rows are
+// byte-identical to per-point Eval calls. The first failing point fails
+// the span.
+func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m EvalMetrics) error {
+	if len(out) != len(pts) {
+		return fmt.Errorf("cluster: eval batch: %d outputs for %d points", len(out), len(pts))
+	}
+	base := g.Base()
+	for i, pt := range pts {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		row, err := g.row(base, pt, m)
+		if err != nil {
+			return err
+		}
+		out[i] = row
+	}
+	return nil
+}
+
+// row builds one map.csv row from the kernel's verdict (core.Classify,
+// which samples only when the grid's invariant policy needs the guard)
+// and the closed-form criteria: LinearStable is the pure Routh–Hurwitz
+// criterion of [4], Theorem1OK the paper's sufficient condition.
+func (g GainGrid) row(base core.Params, pt GainPoint, m EvalMetrics) (Row, error) {
+	p := base
 	p.Gi = pt.Gi
 	p.Gd = pt.Gd
-	if g.analyticActive() {
-		res, err := analytic.SolveOne(p, analytic.Options{
-			Mode:    g.AnalyticMode(),
-			Metrics: m.Analytic,
-		})
-		if err != nil {
-			return Row{}, err
-		}
-		return analyticRow(p, pt, res), nil
-	}
-	v, err := linear.Compare(p)
-	if err != nil {
-		return Row{}, err
-	}
-	tr, err := core.Solve(p, core.SolveOptions{
+	s, err := core.Classify(p, core.SolveOptions{
 		Invariants: invariant.NewPolicy(g.Policy()),
 		Telemetry:  m.Solve,
 	})
 	if err != nil {
 		return Row{}, err
 	}
-	return Row{
-		CSV: fmt.Sprintf(rowFormat,
-			pt.Gi, pt.Gd, int(p.Case()), v.LinearStable, v.Theorem1OK,
-			core.Theorem1Bound(p), tr.Outcome, tr.Outcome.StronglyStable(),
-			tr.MaxQueue(), tr.Rho, tr.Violations.Total, tr.Violations.FirstPredicate()),
-		Violations: tr.Violations.Total,
-		FirstPred:  tr.Violations.FirstPredicate(),
-	}, nil
-}
-
-// analyticRow renders one closed-form verdict as a map.csv row. The
-// linear columns are computed directly: LinearStable is the pure
-// Routh–Hurwitz criterion of [4] (no trajectory needed) and Theorem1OK
-// the paper's closed-form sufficient condition — exactly the values
-// linear.Compare reports, minus its redundant inner solve. The
-// invariant columns are structurally zero because the analytic path
-// only runs under the off policy.
-func analyticRow(p core.Params, pt GainPoint, res analytic.Result) Row {
+	m.Analytic.Observe(&s)
 	linStable := linear.SubsystemStable(p, core.Increase) && linear.SubsystemStable(p, core.Decrease)
+	first := s.Violations.FirstPredicate()
 	return Row{
-		CSV: fmt.Sprintf(rowFormat,
+		CSV: fmt.Sprintf("%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s",
 			pt.Gi, pt.Gd, int(p.Case()), linStable, core.Theorem1Satisfied(p),
-			core.Theorem1Bound(p), res.Outcome, res.Outcome.StronglyStable(),
-			res.MaxQueue(p), res.Rho, uint64(0), ""),
-	}
-}
-
-// EvalBatch evaluates a contiguous span of grid points, writing the row
-// of pts[i] into out[i] (len(out) must equal len(pts)). It is Eval's
-// batch shape — sweep.BatchFunc compatible — and is where the analytic
-// engine's buffer reuse pays off: one warm Solver serves the whole span
-// instead of a pool round-trip per point. Rows are byte-identical to
-// per-point Eval calls.
-func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m EvalMetrics) error {
-	if len(out) != len(pts) {
-		return fmt.Errorf("cluster: eval batch: %d outputs for %d points", len(out), len(pts))
-	}
-	if !g.analyticActive() {
-		for i, pt := range pts {
-			row, err := g.Eval(ctx, pt, m)
-			if err != nil {
-				return err
-			}
-			out[i] = row
-		}
-		return nil
-	}
-	s := analytic.NewSolver()
-	opts := analytic.Options{Mode: g.AnalyticMode(), Metrics: m.Analytic}
-	base := g.Base()
-	for i, pt := range pts {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p := base
-		p.Gi = pt.Gi
-		p.Gd = pt.Gd
-		res, err := s.Solve(p, opts)
-		if err != nil {
-			return err
-		}
-		out[i] = analyticRow(p, pt, res)
-	}
-	return nil
+			core.Theorem1Bound(p), s.Outcome, s.Outcome.StronglyStable(),
+			s.MaxQueue(p), s.Rho, s.Violations.Total, first),
+		Violations: s.Violations.Total,
+		FirstPred:  first,
+	}, nil
 }
 
 // RenderCSV assembles the merged map.csv from rows in grid order.

@@ -130,8 +130,13 @@ func TestTrajectoryMinQueue(t *testing.T) {
 	if got, want := tr.MinQueue(), p.Q0+tr.MinX; got != want {
 		t.Errorf("MinQueue = %v, want %v", got, want)
 	}
-	if tr.MinQueue() <= 0 || tr.MinQueue() >= p.Q0 {
-		t.Errorf("MinQueue = %v, want inside (0, q0)", tr.MinQueue())
+	// The launch at an empty queue is the exact minimum; the first
+	// trough after the queue fills lies inside (0, q0).
+	if tr.MinQueue() != 0 {
+		t.Errorf("MinQueue = %v, want 0 (empty-queue launch)", tr.MinQueue())
+	}
+	if trough := p.Q0 + tr.FirstMinX; !(trough > 0 && trough < p.Q0) {
+		t.Errorf("first trough = %v, want inside (0, q0)", trough)
 	}
 }
 
@@ -147,11 +152,10 @@ func TestCriticalArcEigen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, ok := arc.(*criticalArc)
-	if !ok {
-		t.Fatalf("want critical arc, got %T", arc)
+	if arc.Kind() != ArcCritical {
+		t.Fatalf("want critical arc, got %v", arc.Kind())
 	}
-	if got := ca.Eigen(); got != -2 {
+	if got, _ := eigen(arc); got != -2 {
 		t.Errorf("Eigen = %v, want -2", got)
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"bcnphase/internal/telemetry"
 )
 
-// SolveMetrics instruments the arc-stitching solver. A nil
-// *SolveMetrics (the default) is inert and costs Solve one nil
-// comparison per call; all accounting happens once per Solve, after the
-// trajectory is built, so the per-arc hot loop is untouched.
+// SolveMetrics instruments the sampled arc-stitching solver (Solve, and
+// Classify under an invariant checker). A nil *SolveMetrics (the
+// default) is inert and costs Solve one nil comparison per call; all accounting happens once per solve, after the
+// verdict is built, so the per-arc hot loop is untouched.
 type SolveMetrics struct {
 	// Solves counts Solve invocations (including failed ones).
 	Solves *telemetry.Counter
@@ -47,34 +47,24 @@ func NewSolveMetrics(r *telemetry.Registry) *SolveMetrics {
 	}
 }
 
-// observe folds one finished Solve into the registry.
-func (m *SolveMetrics) observe(tr *Trajectory, wall time.Duration) {
+// observe folds one finished solve into the registry.
+func (m *SolveMetrics) observe(s *Summary, err error, wall time.Duration) {
 	m.Solves.Inc()
 	m.Duration.Observe(wall.Seconds())
-	if tr == nil {
+	if err != nil {
 		return
 	}
-	m.Arcs.Add(uint64(len(tr.Segments)))
-	m.Crossings.Add(uint64(len(tr.Crossings)))
-	m.Extrema.Add(uint64(len(tr.Extrema)))
-	if tr.Outcome != 0 {
-		m.Outcomes.With(tr.Outcome.String()).Inc()
+	m.Arcs.Add(uint64(s.Arcs))
+	m.Crossings.Add(uint64(s.Crossings))
+	m.Extrema.Add(uint64(s.Extrema))
+	if s.Outcome != 0 {
+		m.Outcomes.With(s.Outcome.String()).Inc()
 	}
-	// Per-region dwell time is summed locally first so the registry is
-	// touched a constant number of times per Solve, not per arc.
-	var inc, dec float64
-	for _, s := range tr.Segments {
-		switch s.Region {
-		case Increase:
-			inc += s.Duration
-		case Decrease:
-			dec += s.Duration
+	// Per-region dwell time was summed by the kernel, so the registry
+	// is touched a constant number of times per solve, not per arc.
+	for _, r := range [...]Region{Increase, Decrease} {
+		if d := s.dwell[r]; d > 0 {
+			m.PhaseSeconds.With(r.String()).Add(d)
 		}
-	}
-	if inc > 0 {
-		m.PhaseSeconds.With(Increase.String()).Add(inc)
-	}
-	if dec > 0 {
-		m.PhaseSeconds.With(Decrease.String()).Add(dec)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -88,8 +89,62 @@ type Extremum struct {
 	Max bool
 }
 
+// Summary is the verdict of one stitched solve, built from exact knots
+// only: arc junctions, x-extrema (the y-zeros), boundary hits and the
+// final state. Computing it needs no polyline, so Classify produces it
+// without allocating; Solve produces the same Summary alongside its
+// sampled trajectory.
+type Summary struct {
+	// Outcome tells how the trajectory ended.
+	Outcome Outcome
+	// Arcs counts stitched closed-form arcs that ran to a switch or a
+	// glide (a boundary-truncated final arc and the warm-up slide are
+	// not counted).
+	Arcs int
+	// Crossings counts switching-line crossings.
+	Crossings int
+	// Extrema counts x-extrema (y-zeros) met before each arc's switch or
+	// glide end, including one a boundary hit cut off.
+	Extrema int
+	// MaxX, MinX are the exact extreme x excursions (shifted
+	// coordinates): x(t) is monotone between knots, so the extremes over
+	// the traversed knots are the extremes of the whole trajectory. The
+	// t = 0 launch counts, so a canonical start reports MinX = −q0
+	// exactly (the queue is empty at launch); FirstMinX is the first
+	// trough after it.
+	MaxX, MinX float64
+	// Rho is the measured per-round contraction ratio of switching-line
+	// returns (0 when fewer than two same-side returns were seen).
+	Rho float64
+	// EndT, EndX, EndY is the final state.
+	EndT, EndX, EndY float64
+	// FirstMaxT/X and FirstMinT/X are the first traversed maximum and
+	// minimum of x (NaN when none occurred): the paper's first-round
+	// transient peak and trough, eqs. (18)–(20).
+	FirstMaxT, FirstMaxX float64
+	FirstMinT, FirstMinX float64
+	// Violations tallies the runtime invariant violations observed by
+	// the checker attached via SolveOptions.Invariants (zero when no
+	// checker was attached or the run was clean).
+	Violations invariant.Stats
+
+	// dwell is the simulated time spent per region, indexed by Region
+	// (telemetry only).
+	dwell [3]float64
+}
+
+// MaxQueue returns the peak queue length q0 + MaxX in bits.
+func (s *Summary) MaxQueue(p Params) float64 { return p.Q0 + s.MaxX }
+
+// MinQueue returns the minimum queue length q0 + MinX in bits.
+func (s *Summary) MinQueue(p Params) float64 { return p.Q0 + s.MinX }
+
 // Trajectory is a stitched piecewise-closed-form solution of the
-// linearized switched system (paper eq. 9) with buffer enforcement.
+// linearized switched system (paper eq. 9) with buffer enforcement: the
+// Summary of the solve plus the sampled polyline and the arc, crossing
+// and extremum lists figures need. The lists shadow Summary's counts of
+// the same name and have those lengths (Segments additionally holds the
+// warm-up slide, when there is one).
 type Trajectory struct {
 	// Params echoes the generating parameters.
 	Params Params
@@ -101,23 +156,7 @@ type Trajectory struct {
 	Crossings []SwitchCrossing
 	// Extrema lists the x-extrema encountered.
 	Extrema []Extremum
-	// Outcome tells how the trajectory ended.
-	Outcome Outcome
-	// MaxX, MinX are the extreme x excursions (shifted coordinates).
-	MaxX, MinX float64
-	// Rho is the measured per-round contraction ratio of switching-line
-	// returns (0 when fewer than two same-side returns were seen).
-	Rho float64
-	// EndT, EndX, EndY is the final state.
-	EndT, EndX, EndY float64
-	// Violations tallies the runtime invariant violations observed by
-	// the checker attached via SolveOptions.Invariants (zero when no
-	// checker was attached or the run was clean).
-	Violations invariant.Stats
-
-	// launchEnd is the time through which boundary-resting samples are
-	// excused from the extremes (0, or the warm-up duration).
-	launchEnd float64
+	Summary
 }
 
 // QueueSeries returns the queue-length polyline q(t) = q0 + x(t) in
@@ -144,14 +183,15 @@ func (tr *Trajectory) RateSeries() (t, r []float64) {
 	return t, r
 }
 
-// MaxQueue and MinQueue return the queue extremes in original coordinates.
-func (tr *Trajectory) MaxQueue() float64 { return tr.Params.Q0 + tr.MaxX }
+// MaxQueue returns the peak queue length reached (original coordinates).
+func (tr *Trajectory) MaxQueue() float64 { return tr.Summary.MaxQueue(tr.Params) }
 
 // MinQueue returns the minimum queue length reached (original coordinates).
-func (tr *Trajectory) MinQueue() float64 { return tr.Params.Q0 + tr.MinX }
+func (tr *Trajectory) MinQueue() float64 { return tr.Summary.MinQueue(tr.Params) }
 
-// SolveOptions configures Solve. The zero value requests the paper's
-// canonical start (−q0, 0) with defaults suitable for stability verdicts.
+// SolveOptions configures Solve and Classify. The zero value requests
+// the paper's canonical start (−q0, 0) with defaults suitable for
+// stability verdicts.
 type SolveOptions struct {
 	// Start overrides the initial state (x0, y0); nil means (−q0, 0).
 	Start *[2]float64
@@ -181,20 +221,25 @@ type SolveOptions struct {
 	// Invariants optionally attaches a runtime invariant checker: every
 	// sampled point is checked for state finiteness, queue and rate
 	// bounds, σ-branch consistency and a monotone sample clock. Under
-	// the Strict policy the first violation aborts Solve with a
+	// the Strict policy the first violation aborts the solve with a
 	// *invariant.InvariantError; under Record/Clamp the run continues
-	// (Clamp projects samples back into the feasible strip) and the
-	// tallies land in Trajectory.Violations. A Record/Clamp checker also
-	// lets Solve integrate through parameter sets Params.Validate
-	// rejects, recording the breakage instead of refusing the run.
+	// (Clamp projects polyline samples back into the feasible strip) and
+	// the tallies land in Summary.Violations. A Record/Clamp checker
+	// also lets the solve integrate through parameter sets
+	// Params.Validate rejects, recording the breakage instead of
+	// refusing the run. The checks run on the sampled polyline, so
+	// Classify samples whenever a checker is enabled.
 	Invariants *invariant.Checker
 	// Telemetry optionally attaches solver metrics (arc/crossing/outcome
-	// counts, per-region dwell time, wall-clock histograms). Nil costs
-	// one comparison per Solve.
+	// counts, per-region dwell time, wall-clock histograms) to sampled
+	// solves: Solve, and Classify when a checker makes it sample. A
+	// knots-only Classify skips them; batch callers count those verdicts
+	// once per batch instead (analytic.Metrics). Nil costs one
+	// comparison per solve.
 	Telemetry *SolveMetrics
 }
 
-func (o SolveOptions) withDefaults(p Params) SolveOptions {
+func (o SolveOptions) withDefaults() SolveOptions {
 	if o.MaxArcs <= 0 {
 		o.MaxArcs = 1_000_000
 	}
@@ -207,34 +252,74 @@ func (o SolveOptions) withDefaults(p Params) SolveOptions {
 	if o.CycleTol <= 0 {
 		o.CycleTol = 1e-6
 	}
-	if o.Start == nil {
-		o.Start = &[2]float64{-p.Q0, 0}
-	}
 	return o
 }
 
+// ErrNonFinite reports a closed form that evaluated to a non-finite time
+// or state in an unchecked solve.
+var ErrNonFinite = errors.New("core: closed form went non-finite")
+
 // Solve stitches closed-form arcs of the linearized switched system from
 // the initial state, enforcing the buffer strip and classifying the
-// outcome. It is the analytic engine behind every phase-portrait figure
-// and stability verdict in this repository. When SolveOptions.Invariants
-// attaches a checker, every sampled point is self-checked at runtime and
-// the violation tallies are returned in Trajectory.Violations.
+// outcome, and samples the result into a polyline for figures. It is
+// the engine behind every phase portrait in this repository. When
+// SolveOptions.Invariants attaches a checker, every sampled point is
+// self-checked at runtime and the violation tallies are returned in
+// Trajectory.Violations.
 func Solve(p Params, opts SolveOptions) (*Trajectory, error) {
 	var began time.Time
 	if opts.Telemetry != nil {
 		began = time.Now()
 	}
-	tr, err := solve(p, opts)
-	if tr != nil {
-		tr.Violations = opts.Invariants.Stats()
+	tr := &Trajectory{Params: p}
+	s, err := stitch(p, opts, &sampler{
+		tr:    tr,
+		guard: newSolveGuard(opts.Invariants, p, !opts.IgnoreBuffer),
+	})
+	if err == nil {
+		s.Violations = opts.Invariants.Stats()
 	}
 	if opts.Telemetry != nil {
-		opts.Telemetry.observe(tr, time.Since(began))
+		opts.Telemetry.observe(&s, err, time.Since(began))
 	}
-	return tr, err
+	if err != nil {
+		return nil, err
+	}
+	tr.Summary = s
+	return tr, nil
 }
 
-func solve(p Params, opts SolveOptions) (*Trajectory, error) {
+// Classify runs the same stitching as Solve but keeps only the exact
+// knots: the Summary of Solve for the same inputs, bit for bit, without
+// the polyline or the arc lists. With no invariant checker attached it
+// makes no allocations; an enabled checker needs the sampled polyline,
+// so Classify then samples like Solve.
+func Classify(p Params, opts SolveOptions) (Summary, error) {
+	if opts.Invariants.Enabled() {
+		tr, err := Solve(p, opts)
+		if err != nil {
+			return Summary{}, err
+		}
+		return tr.Summary, nil
+	}
+	return stitch(p, opts, nil)
+}
+
+// sampler records what only figures and checked runs need: the 64-point
+// polyline per arc, the segment, crossing and extremum lists, and the
+// invariant guard run over every sample. The stitching kernel calls it
+// only when one is attached.
+type sampler struct {
+	tr    *Trajectory
+	guard *solveGuard
+}
+
+// stitch is the one closed-form stitching loop (paper §IV-B): solve each
+// rate regime in closed form from its entry state, end the arc at its
+// first switching-line crossing (or glide it into the convergence box),
+// and classify the outcome from exact knots. A non-nil sampler also
+// records the polyline and lists.
+func stitch(p Params, opts SolveOptions, smp *sampler) (Summary, error) {
 	chk := opts.Invariants
 	if err := p.Validate(); err != nil {
 		// A Strict checker turns the rejection into a structured
@@ -242,35 +327,33 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 		// the broken parameters so downstream guards can show the
 		// consequences. Without a checker the historical contract holds.
 		if !chk.Enabled() {
-			return nil, err
+			return Summary{}, err
 		}
 		if ferr := chk.Fail(PredParamsValid, 0, err.Error()); ferr != nil {
-			return nil, ferr
+			return Summary{}, ferr
 		}
 	}
-	opts = opts.withDefaults(p)
-	guard := newSolveGuard(chk, p, !opts.IgnoreBuffer)
+	opts = opts.withDefaults()
 	k := p.K()
-	tr := &Trajectory{
-		Params: p,
-		MaxX:   math.Inf(-1),
-		MinX:   math.Inf(1),
+
+	x, y := -p.Q0, 0.0
+	if opts.Start != nil {
+		x, y = opts.Start[0], opts.Start[1]
 	}
-
-	x, y := opts.Start[0], opts.Start[1]
+	var s Summary
 	tGlobal := 0.0
-
 	if opts.WarmupFromRate != nil {
 		t0, err := p.WarmupTime(*opts.WarmupFromRate)
 		if err != nil {
-			return nil, err
+			return Summary{}, err
 		}
-		tr.launchEnd = t0
-		tGlobal, y, err = appendWarmup(tr, guard, p, *opts.WarmupFromRate, opts.SamplesPerArc)
-		if err != nil {
-			return nil, err
+		if smp != nil {
+			if err := smp.warmup(p, *opts.WarmupFromRate, t0, opts.SamplesPerArc); err != nil {
+				return Summary{}, err
+			}
 		}
-		x = -p.Q0
+		s.dwell[Increase] += t0
+		tGlobal, x, y = t0, -p.Q0, 0
 	}
 
 	tolX := opts.ConvergeTol * p.Q0
@@ -278,10 +361,27 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 	xHi := p.B - p.Q0 // overflow boundary
 	xLo := -p.Q0      // underflow boundary
 
-	// Same-side return amplitudes for contraction measurement: the
-	// |distance from origin| at crossings entering the Decrease region.
-	var enterDecrease []float64
-	bufferCheckedRounds := 0
+	ext := extremes{
+		maxX: math.Inf(-1), minX: math.Inf(1),
+		firstMaxT: math.NaN(), firstMaxX: math.NaN(),
+		firstMinT: math.NaN(), firstMinX: math.NaN(),
+	}
+	finish := func(o Outcome, t, xf, yf float64) (Summary, error) {
+		ext.add(xf)
+		if smp != nil {
+			smp.tr.appendPoint(t, xf, yf)
+		}
+		s.Outcome = o
+		s.EndT, s.EndX, s.EndY = t, xf, yf
+		ext.finishInto(&s)
+		return s, nil
+	}
+
+	// Same-side return amplitudes for the contraction measurement: the
+	// |distance from origin| at the last two crossings entering the
+	// Decrease region.
+	var prevAmp, lastAmp float64
+	enterDecrease := 0
 
 	// The active region is carried across crossings explicitly: crossing
 	// points land on the switching line only up to roundoff, so
@@ -296,68 +396,99 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 			// with a structured violation and ends a Record/Clamp run
 			// gracefully at the horizon with the breakage tallied.
 			if !chk.Enabled() {
-				return nil, err
+				return Summary{}, err
 			}
 			if ferr := chk.Fail(PredRegimeValid, tGlobal, err.Error()); ferr != nil {
-				return nil, ferr
+				return Summary{}, ferr
 			}
-			finish(tr, tGlobal, x, y)
-			tr.Outcome = OutcomeHorizon
-			return tr, nil
+			return finish(OutcomeHorizon, tGlobal, x, y)
 		}
 		eps := 1e-9 * arc.TimeScale()
 
 		tSwitch, hasSwitch := arc.FirstSwitch(eps)
-		var tEnd float64
-		if hasSwitch {
-			tEnd = tSwitch
-		} else {
+		tEnd := tSwitch
+		if !hasSwitch {
 			// Terminal arc gliding to the origin: integrate until
 			// inside the convergence ball.
 			tEnd = glideTime(arc, tolX, tolY)
 		}
+		if !chk.Enabled() && !finite(tEnd) {
+			return Summary{}, fmt.Errorf("%w: arc end time %v at t=%v", ErrNonFinite, tEnd, tGlobal)
+		}
 
-		// Record the extremum (if any) inside this arc. x is at a
-		// maximum when y falls through zero, i.e. the arc entered
-		// with y > 0 (or with y = 0 and dy/dt = −n·x > 0).
-		if tz, ok := arc.FirstYZero(eps); ok && tz < tEnd {
-			xz, _ := arc.At(tz)
-			isMax := y > 0 || (y == 0 && x < 0)
-			tr.Extrema = append(tr.Extrema, Extremum{T: tGlobal + tz, X: xz, Max: isMax})
+		// Entry knot: the junction state carried across the crossing.
+		ext.add(x)
+
+		// The extremum (if any) inside this arc. x is at a maximum when
+		// y falls through zero, i.e. the arc entered with y > 0 (or with
+		// y = 0 and dy/dt = −n·x > 0). The tally counts any y-zero
+		// before the switch or glide end; the excursion only counts the
+		// part of the arc actually traversed (up to a boundary hit).
+		tz, hasZ := arc.FirstYZero(eps)
+		hasZ = hasZ && tz < tEnd
+		isMax := y > 0 || (y == 0 && x < 0)
+		var xz float64
+		if hasZ {
+			xz, _ = arc.At(tz)
+			s.Extrema++
+			if smp != nil {
+				smp.tr.Extrema = append(smp.tr.Extrema, Extremum{T: tGlobal + tz, X: xz, Max: isMax})
+			}
 		}
 
 		// Buffer enforcement: earliest boundary hit inside (eps, tEnd].
 		if !opts.IgnoreBuffer {
 			if tb, hi, ok := firstBoundaryHit(arc, eps, tEnd, xLo, xHi); ok {
-				if err := sampleArc(tr, guard, region, arc, tGlobal, tb, opts.SamplesPerArc, x, y); err != nil {
-					return nil, err
+				if hasZ && tz < tb {
+					ext.extremum(tGlobal+tz, xz, isMax)
+				}
+				if smp != nil {
+					if err := smp.arc(region, arc, tGlobal, tb, opts.SamplesPerArc, x, y); err != nil {
+						return Summary{}, err
+					}
 				}
 				xb, yb := arc.At(tb)
-				finish(tr, tGlobal+tb, xb, yb)
 				if hi {
-					tr.Outcome = OutcomeOverflow
-				} else {
-					tr.Outcome = OutcomeUnderflow
+					return finish(OutcomeOverflow, tGlobal+tb, xb, yb)
 				}
-				return tr, nil
+				return finish(OutcomeUnderflow, tGlobal+tb, xb, yb)
 			}
 		}
 
-		if err := sampleArc(tr, guard, region, arc, tGlobal, tEnd, opts.SamplesPerArc, x, y); err != nil {
-			return nil, err
+		if hasZ {
+			ext.extremum(tGlobal+tz, xz, isMax)
+			// A terminal glide arc can oscillate through further
+			// extrema on its way into the convergence box; amplitudes
+			// decay, so a short scan suffices.
+			for i := 0; i < 4 && !hasSwitch; i++ {
+				var more bool
+				if tz, more = arc.FirstYZero(tz); !more || tz >= tEnd {
+					break
+				}
+				xn, _ := arc.At(tz)
+				ext.add(xn)
+			}
 		}
-		tr.Segments = append(tr.Segments, Segment{
-			Region: region, Kind: arc.Kind(), T0: tGlobal, Duration: tEnd, X0: x, Y0: y,
-		})
+		if smp != nil {
+			if err := smp.arc(region, arc, tGlobal, tEnd, opts.SamplesPerArc, x, y); err != nil {
+				return Summary{}, err
+			}
+			smp.tr.Segments = append(smp.tr.Segments, Segment{
+				Region: region, Kind: arc.Kind(), T0: tGlobal, Duration: tEnd, X0: x, Y0: y,
+			})
+		}
+		s.Arcs++
+		s.dwell[region] += tEnd
 
 		xNext, yNext := arc.At(tEnd)
+		if !chk.Enabled() && (!finite(xNext) || !finite(yNext)) {
+			return Summary{}, fmt.Errorf("%w: state (%v, %v) at t=%v", ErrNonFinite, xNext, yNext, tGlobal+tEnd)
+		}
 		tGlobal += tEnd
 
 		if !hasSwitch {
 			// Glided to the origin inside this region.
-			finish(tr, tGlobal, xNext, yNext)
-			tr.Outcome = OutcomeConverged
-			return tr, nil
+			return finish(OutcomeConverged, tGlobal, xNext, yNext)
 		}
 
 		// Crossing bookkeeping: on the line σ̇ = −y, so y > 0 enters
@@ -366,76 +497,103 @@ func solve(p Params, opts SolveOptions) (*Trajectory, error) {
 		if yNext > 0 {
 			next = Decrease
 		}
-		tr.Crossings = append(tr.Crossings, SwitchCrossing{T: tGlobal, X: xNext, Y: yNext, To: next})
+		s.Crossings++
+		if smp != nil {
+			smp.tr.Crossings = append(smp.tr.Crossings, SwitchCrossing{T: tGlobal, X: xNext, Y: yNext, To: next})
+		}
 		region = next
 		if next == Decrease {
-			enterDecrease = append(enterDecrease, math.Abs(xNext))
-			bufferCheckedRounds++
+			prevAmp, lastAmp = lastAmp, math.Abs(xNext)
+			enterDecrease++
 		}
 
 		// Convergence at the crossing point.
 		if math.Abs(xNext) < tolX && math.Abs(yNext) < tolY {
-			finish(tr, tGlobal, xNext, yNext)
-			tr.Outcome = OutcomeConverged
-			return tr, nil
+			return finish(OutcomeConverged, tGlobal, xNext, yNext)
 		}
 
 		// Contraction ratio after two same-side returns.
-		if n := len(enterDecrease); n >= 2 && enterDecrease[n-2] > 0 {
-			rho := enterDecrease[n-1] / enterDecrease[n-2]
-			tr.Rho = rho
+		if enterDecrease >= 2 && prevAmp > 0 {
+			rho := lastAmp / prevAmp
+			s.Rho = rho
 			switch {
 			case math.Abs(rho-1) <= opts.CycleTol:
-				finish(tr, tGlobal, xNext, yNext)
-				tr.Outcome = OutcomeLimitCycle
-				return tr, nil
+				return finish(OutcomeLimitCycle, tGlobal, xNext, yNext)
 			case rho > 1+opts.CycleTol:
 				// Diverging returns: the trajectory will
 				// eventually hit the buffer unless stopped.
 				if opts.IgnoreBuffer {
-					finish(tr, tGlobal, xNext, yNext)
-					tr.Outcome = OutcomeDiverging
-					return tr, nil
+					return finish(OutcomeDiverging, tGlobal, xNext, yNext)
 				}
-			case !opts.DisableShortCircuit && bufferCheckedRounds >= 2:
+			case !opts.DisableShortCircuit:
 				// Strict contraction measured and the widest
 				// (first) round cleared the buffer strip:
 				// later rounds scale down by ρ < 1, so the
 				// system converges without further excursions.
-				finish(tr, tGlobal, xNext, yNext)
-				tr.Outcome = OutcomeConverged
-				return tr, nil
+				return finish(OutcomeConverged, tGlobal, xNext, yNext)
 			}
 		}
 		x, y = xNext, yNext
 	}
-	t := tGlobal
-	finish(tr, t, x, y)
-	tr.Outcome = OutcomeHorizon
-	return tr, nil
+	return finish(OutcomeHorizon, tGlobal, x, y)
 }
 
-// appendWarmup emits the empty-queue acceleration phase onto tr and
-// returns the elapsed time and final y (which is 0 by construction).
-func appendWarmup(tr *Trajectory, guard *solveGuard, p Params, mu float64, samples int) (tEnd, yEnd float64, err error) {
-	t0, err := p.WarmupTime(mu)
-	if err != nil {
-		return 0, 0, err
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// extremes folds exact knots (arc entries, extrema, boundary hits, the
+// final state) into the excursion extremes and remembers the first
+// maximum and minimum.
+type extremes struct {
+	maxX, minX           float64
+	firstMaxT, firstMaxX float64
+	firstMinT, firstMinX float64
+}
+
+func (e *extremes) add(x float64) {
+	if x > e.maxX {
+		e.maxX = x
 	}
+	if x < e.minX {
+		e.minX = x
+	}
+}
+
+// extremum folds one x-extremum (a y-zero) knot.
+func (e *extremes) extremum(t, x float64, isMax bool) {
+	e.add(x)
+	if isMax {
+		if math.IsNaN(e.firstMaxT) {
+			e.firstMaxT, e.firstMaxX = t, x
+		}
+	} else if math.IsNaN(e.firstMinT) {
+		e.firstMinT, e.firstMinX = t, x
+	}
+}
+
+// finishInto seals the extremes into s.
+func (e *extremes) finishInto(s *Summary) {
+	s.MaxX, s.MinX = e.maxX, e.minX
+	s.FirstMaxT, s.FirstMaxX = e.firstMaxT, e.firstMaxX
+	s.FirstMinT, s.FirstMinX = e.firstMinT, e.firstMinX
+}
+
+// warmup samples the empty-queue acceleration phase (§IV-C): the state
+// slides along x = −q0 with dy/dt = a·q0 from N·μ−C up to y = 0 at t0.
+func (smp *sampler) warmup(p Params, mu, t0 float64, samples int) error {
 	y0 := float64(p.N)*mu - p.C
 	accel := p.A() * p.Q0
 	for i := 0; i <= samples; i++ {
 		t := t0 * float64(i) / float64(samples)
-		x, y := -p.Q0, y0+accel*t
-		if x, y, err = guard.point(Increase, t, x, y); err != nil {
-			return 0, 0, err
+		x, y, err := smp.guard.point(Increase, t, -p.Q0, y0+accel*t)
+		if err != nil {
+			return err
 		}
-		appendPoint(tr, t, x, y)
+		smp.tr.appendPoint(t, x, y)
 	}
-	tr.Segments = append(tr.Segments, Segment{
+	smp.tr.Segments = append(smp.tr.Segments, Segment{
 		Region: Increase, Kind: ArcCritical /* degenerate boundary slide */, T0: 0, Duration: t0, X0: -p.Q0, Y0: y0,
 	})
-	return t0, 0, nil
+	return nil
 }
 
 // glideTime finds a time by which the non-switching arc is inside the
@@ -452,57 +610,37 @@ func glideTime(arc Arc, tolX, tolY float64) float64 {
 	return t
 }
 
-// sampleArc appends the arc polyline on [0, tEnd] at the given resolution,
+// arc appends the arc polyline on [0, tEnd] at the given resolution,
 // running every sample through the invariant guard (which may clamp it).
 // The entry state (x0, y0) is used verbatim for the first sample so that
 // closed-form roundoff does not perturb recorded junction points.
-func sampleArc(tr *Trajectory, guard *solveGuard, region Region, arc Arc, tGlobal, tEnd float64, samples int, x0, y0 float64) error {
-	x0, y0, err := guard.point(region, tGlobal, x0, y0)
+func (smp *sampler) arc(region Region, arc Arc, tGlobal, tEnd float64, samples int, x0, y0 float64) error {
+	x0, y0, err := smp.guard.point(region, tGlobal, x0, y0)
 	if err != nil {
 		return err
 	}
-	appendPoint(tr, tGlobal, x0, y0)
+	smp.tr.appendPoint(tGlobal, x0, y0)
 	for i := 1; i <= samples; i++ {
 		t := tEnd * float64(i) / float64(samples)
 		x, y := arc.At(t)
-		x, y, err := guard.point(region, tGlobal+t, x, y)
+		x, y, err := smp.guard.point(region, tGlobal+t, x, y)
 		if err != nil {
 			return err
 		}
-		appendPoint(tr, tGlobal+t, x, y)
+		smp.tr.appendPoint(tGlobal+t, x, y)
 	}
 	return nil
 }
 
-func appendPoint(tr *Trajectory, t, x, y float64) {
-	// Skip duplicate junction points.
+// appendPoint appends one polyline sample, skipping duplicate junction
+// points.
+func (tr *Trajectory) appendPoint(t, x, y float64) {
 	if n := len(tr.T); n > 0 && tr.T[n-1] == t {
 		return
 	}
 	tr.T = append(tr.T, t)
 	tr.X = append(tr.X, x)
 	tr.Y = append(tr.Y, y)
-	// MaxX/MinX measure the excursion after launch: the canonical start
-	// rests on the empty-queue boundary x = −q0 (as does the warm-up
-	// slide), which Definition 1 excuses, so boundary-resting launch
-	// samples do not count toward the extremes.
-	if x <= -tr.Params.Q0 && t <= tr.launchEnd {
-		return
-	}
-	if x > tr.MaxX {
-		tr.MaxX = x
-	}
-	if x < tr.MinX {
-		tr.MinX = x
-	}
-}
-
-func finish(tr *Trajectory, t, x, y float64) {
-	appendPoint(tr, t, x, y)
-	tr.EndT, tr.EndX, tr.EndY = t, x, y
-	if len(tr.T) > 0 && math.IsInf(tr.MaxX, -1) {
-		tr.MaxX, tr.MinX = tr.X[0], tr.X[0]
-	}
 }
 
 // firstBoundaryHit finds the earliest time in (0, tEnd] at which x(t)
@@ -517,16 +655,20 @@ func finish(tr *Trajectory, t, x, y float64) {
 // interior.
 func firstBoundaryHit(arc Arc, eps, tEnd, xLo, xHi float64) (t float64, hi, ok bool) {
 	type knot struct{ t, x float64 }
+	var knots [3]knot
 	x0, _ := arc.At(0)
-	knots := []knot{{0, x0}}
+	knots[0] = knot{0, x0}
+	n := 1
 	if tz, okz := arc.FirstYZero(eps); okz && tz < tEnd {
 		xz, _ := arc.At(tz)
-		knots = append(knots, knot{tz, xz})
+		knots[n] = knot{tz, xz}
+		n++
 	}
 	xe, _ := arc.At(tEnd)
-	knots = append(knots, knot{tEnd, xe})
+	knots[n] = knot{tEnd, xe}
+	n++
 
-	for i := 1; i < len(knots); i++ {
+	for i := 1; i < n; i++ {
 		a, b := knots[i-1], knots[i]
 		switch {
 		case b.x >= xHi && a.x < xHi:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -49,8 +50,13 @@ func TestSolveAmpleBufferConverges(t *testing.T) {
 	if tr.MaxX >= p.B-p.Q0 {
 		t.Errorf("MaxX = %v >= B−q0 = %v", tr.MaxX, p.B-p.Q0)
 	}
-	if tr.MinX <= -p.Q0 {
-		t.Errorf("MinX = %v <= −q0", tr.MinX)
+	// The exact minimum is the empty-queue launch; the first trough
+	// after it stays strictly inside the strip.
+	if tr.MinX != -p.Q0 {
+		t.Errorf("MinX = %v, want the launch state −q0", tr.MinX)
+	}
+	if !(tr.FirstMinX > -p.Q0) {
+		t.Errorf("first trough FirstMinX = %v <= −q0", tr.FirstMinX)
 	}
 	if q := tr.MaxQueue(); q >= Theorem1Bound(p)*1.0001 {
 		t.Errorf("MaxQueue = %v exceeds Theorem 1 bound %v", q, Theorem1Bound(p))
@@ -504,5 +510,20 @@ func TestQuickExtremaAlternate(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNonFiniteIsPointError: an unchecked solve whose closed form
+// overflows (a start near the float64 limit) fails with ErrNonFinite
+// instead of reporting a verdict built from Inf/NaN knots.
+func TestNonFiniteIsPointError(t *testing.T) {
+	p := PaperExample()
+	start := [2]float64{1e308, 1e308}
+	opts := SolveOptions{Start: &start, IgnoreBuffer: true}
+	if _, err := Classify(p, opts); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("Classify: error %v, want ErrNonFinite", err)
+	}
+	if _, err := Solve(p, opts); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("Solve: error %v, want ErrNonFinite", err)
 	}
 }

@@ -14,7 +14,10 @@
 // produce a strongly stable trajectory.
 //
 // CrossValidate reports every comparison with its relative drift and
-// fails loudly (Report.Err) past the tolerance.
+// fails loudly (Report.Err) past the tolerance. StitchRK45 is the same
+// independence carried through a whole verdict: it stitches numerically
+// integrated regimes with the kernel's termination rules, and the tests
+// here fuzz and sweep core.Classify against it.
 package xcheck
 
 import (
@@ -22,7 +25,6 @@ import (
 	"math"
 	"strings"
 
-	"bcnphase/internal/analytic"
 	"bcnphase/internal/core"
 	"bcnphase/internal/ode"
 )
@@ -77,13 +79,8 @@ type StabilityCheck struct {
 	// enforced; StronglyStable is its Definition 1 verdict.
 	Outcome        core.Outcome
 	StronglyStable bool
-	// EngineOutcome is the sampling-free engine's verdict for the same
-	// buffered run; it must equal Outcome (the two share their
-	// classification logic bit for bit).
-	EngineOutcome core.Outcome
 	// Consistent is false when the theorem guarantees stability but the
-	// trajectory violates it, or the fast engine disagrees with the
-	// reference solver — either way an implementation contradiction.
+	// trajectory violates it — an implementation contradiction.
 	Consistent bool
 	// Flag is a human-readable verdict; non-empty when the buffer is
 	// below the Theorem 1 bound (stability not guaranteed) or on a
@@ -233,35 +230,6 @@ func CrossValidate(p core.Params, opt Options) (*Report, error) {
 		}
 	}
 
-	// Sampling-free engine (internal/analytic): same closed forms as
-	// core.Solve but exact junction evaluation. Its first crossing and
-	// first-round peak must reproduce core's bit-for-bit (the engine's
-	// design contract), which the shared tolerance gates with huge margin.
-	var engT, engX, engY = math.NaN(), math.NaN(), math.NaN()
-	engRes, engErr := analytic.SolveOne(p, analytic.Options{
-		IgnoreBuffer: true, MaxArcs: 64,
-		OnCrossing: func(t, x, y float64, _ core.Region) {
-			if math.IsNaN(engT) {
-				engT, engX, engY = t, x, y
-			}
-		},
-	})
-	if engErr != nil {
-		return nil, fmt.Errorf("xcheck: analytic engine solve: %w", engErr)
-	}
-	if len(tr.Crossings) > 0 && !math.IsNaN(engT) {
-		cr := tr.Crossings[0]
-		add("engine-crossing-time", engT, cr.T, math.Max(cr.T, 1e-300))
-		add("engine-crossing-x", engX, cr.X, p.Q0)
-		add("engine-crossing-y", engY, cr.Y, p.C)
-	}
-	if len(tr.Extrema) > 0 {
-		first := tr.Extrema[0]
-		if engFirst := pickFirst(engRes, first.Max); !math.IsNaN(engFirst) {
-			add("engine-first-extremum-x", engFirst, first.X, p.Q0)
-		}
-	}
-
 	// First-round extrema: FirstRoundExtrema is a third, independent
 	// analytic path (it re-stitches the arcs itself), so agreement here
 	// covers Solve, the criteria code and the integrator at once.
@@ -312,16 +280,6 @@ func stabilityCheck(p core.Params) StabilityCheck {
 	}
 	s.Outcome = tr.Outcome
 	s.StronglyStable = tr.Outcome.StronglyStable()
-	if engRes, err := analytic.SolveOne(p, analytic.Options{}); err == nil {
-		s.EngineOutcome = engRes.Outcome
-	}
-	if s.EngineOutcome != s.Outcome {
-		s.Consistent = false
-		s.Flag = fmt.Sprintf(
-			"contradiction: analytic engine outcome %v disagrees with reference solver outcome %v",
-			s.EngineOutcome, s.Outcome)
-		return s
-	}
 	// Theorem 1 is sufficient, not necessary: Satisfied ⇒ StronglyStable
 	// must hold; an unsatisfied bound carries no guarantee either way.
 	s.Consistent = !s.Satisfied || s.StronglyStable
@@ -355,14 +313,6 @@ func numericHorizon(tr *core.Trajectory) float64 {
 	default:
 		return 1
 	}
-}
-
-// pickFirst selects the engine's first maximum or minimum x.
-func pickFirst(res analytic.Result, isMax bool) float64 {
-	if isMax {
-		return res.FirstMaxX
-	}
-	return res.FirstMinX
 }
 
 // firstEvent returns the earliest hit of the named event with T > after.

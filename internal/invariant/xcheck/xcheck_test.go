@@ -160,39 +160,3 @@ func TestReportString(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineComparisonsPresent asserts the sampling-free engine is
-// actually wired into the harness: its crossing and extremum
-// comparisons appear, pass, and its buffered outcome matches the
-// reference solver's.
-func TestEngineComparisonsPresent(t *testing.T) {
-	rep, err := CrossValidate(core.PaperExample(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := map[string]bool{}
-	for _, c := range rep.Comparisons {
-		if strings.HasPrefix(c.Name, "engine-") {
-			found[c.Name] = true
-			if !c.OK {
-				t.Errorf("%s drifted: analytic=%v numeric=%v drift=%g", c.Name, c.Analytic, c.Numeric, c.Drift)
-			}
-			// The engine shares core.Solve's arithmetic; against the
-			// reference solver the drift is exactly zero.
-			if c.Drift != 0 {
-				t.Errorf("%s: drift %g, want bit-identical 0", c.Name, c.Drift)
-			}
-		}
-	}
-	for _, name := range []string{"engine-crossing-time", "engine-crossing-x", "engine-crossing-y", "engine-first-extremum-x"} {
-		if !found[name] {
-			t.Errorf("comparison %s missing from report", name)
-		}
-	}
-	if rep.Stability.EngineOutcome != rep.Stability.Outcome {
-		t.Errorf("engine outcome %v != solver outcome %v", rep.Stability.EngineOutcome, rep.Stability.Outcome)
-	}
-	if rep.Stability.EngineOutcome == 0 {
-		t.Error("engine outcome not recorded")
-	}
-}

@@ -64,12 +64,12 @@ func Compare(p core.Params) (Verdict, error) {
 		Theorem1OK:     core.Theorem1Satisfied(p),
 	}
 	v.LinearStable = v.IncreaseStable && v.DecreaseStable
-	tr, err := core.Solve(p, core.SolveOptions{})
+	s, err := core.Classify(p, core.SolveOptions{})
 	if err != nil {
 		return Verdict{}, fmt.Errorf("compare: %w", err)
 	}
-	v.Outcome = tr.Outcome
-	v.TrajectoryStable = tr.Outcome.StronglyStable()
+	v.Outcome = s.Outcome
+	v.TrajectoryStable = s.Outcome.StronglyStable()
 	v.Disagreement = v.LinearStable && !v.TrajectoryStable
 	return v, nil
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -32,6 +33,11 @@ func postBytes(b *testing.B, base string, body []byte) int {
 	b.Helper()
 	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
+		b.Fatal(err)
+	}
+	// Drain the body before closing it so the connection returns to the
+	// keep-alive pool; otherwise every iteration times a fresh TCP setup.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
 		b.Fatal(err)
 	}
 	resp.Body.Close()

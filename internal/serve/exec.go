@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"bcnphase/internal/analytic"
 	"bcnphase/internal/cluster"
 	"bcnphase/internal/core"
 	"bcnphase/internal/faults"
@@ -45,10 +44,6 @@ type SolveResult struct {
 	Crossings      int     `json:"crossings"`
 	Violations     uint64  `json:"violations"`
 	FirstViolation string  `json:"first_violation,omitempty"`
-	// Engine tags which engine produced the verdict: "analytic" or
-	// "rk45" (the closed-form engine's two paths); empty for the classic
-	// sampled core.Solve, which any non-off invariant policy selects.
-	Engine string `json:"engine,omitempty"`
 }
 
 // SweepResult carries the gain-plane map as rendered CSV rows plus the
@@ -100,18 +95,10 @@ func (s *Server) execute(ctx context.Context, sp Spec, key string) ([]byte, erro
 	if sp.Invariants == "" {
 		pol = s.cfg.Invariants
 	}
-	mode, err := analytic.ParseMode(sp.Analytic)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
-	}
-	if sp.Analytic == "" {
-		mode = s.cfg.Analytic
-	}
 	if sp.Kind == KindShard {
-		// A shard's policy and engine mode travel inside the grid (both
-		// are part of the grid fingerprint), so every worker in a cluster
-		// evaluates rows the same way regardless of its local server
-		// defaults.
+		// A shard's policy travels inside the grid (it is part of the grid
+		// fingerprint), so every worker in a cluster evaluates rows the
+		// same way regardless of its local server defaults.
 		pol = sp.Shard.Grid.Policy()
 	}
 	art, err := sweep.One(ctx, sp, func(ctx context.Context, sp Spec) (*Artifact, error) {
@@ -121,13 +108,13 @@ func (s *Server) execute(ctx context.Context, sp Spec, key string) ([]byte, erro
 		art := &Artifact{Key: key, Kind: sp.Kind, Invariants: pol.String()}
 		switch sp.Kind {
 		case KindSolve:
-			res, err := runSolve(sp.Solve, pol, mode, s.jobm)
+			res, err := runSolve(sp.Solve, pol, s.jobm)
 			if err != nil {
 				return nil, err
 			}
 			art.Solve = res
 		case KindSweep:
-			res, err := runSweep(ctx, sp.Sweep, pol, mode, s.jobm)
+			res, err := runSweep(ctx, sp.Sweep, pol, s.jobm)
 			if err != nil {
 				return nil, err
 			}
@@ -159,17 +146,11 @@ func (s *Server) execute(ctx context.Context, sp Spec, key string) ([]byte, erro
 	return raw, nil
 }
 
-func runSolve(s *SolveSpec, pol invariant.Policy, mode analytic.Mode, jm jobMetrics) (*SolveResult, error) {
-	// The analytic engine carries no invariant instrumentation, so it
-	// serves only uninstrumented jobs; any checked policy keeps the
-	// classic sampled path below.
-	if mode != analytic.ModeOff && pol == invariant.Off {
-		return runSolveAnalytic(s, mode, jm)
-	}
-	// Solve first: under a strict policy invalid physics must surface as
-	// the checker's structured abort (the breaker's signal), not as the
-	// linear criterion's plain validation error.
-	tr, err := core.Solve(s.Params, core.SolveOptions{
+// runSolve answers a solve job from the kernel's verdict. Under a
+// strict policy invalid physics surfaces as the checker's structured
+// abort (the breaker's signal), not as a plain validation error.
+func runSolve(s *SolveSpec, pol invariant.Policy, jm jobMetrics) (*SolveResult, error) {
+	sum, err := core.Classify(s.Params, core.SolveOptions{
 		Start:      s.Start,
 		MaxArcs:    s.MaxArcs,
 		Invariants: invariant.NewPolicy(pol),
@@ -178,62 +159,37 @@ func runSolve(s *SolveSpec, pol invariant.Policy, mode analytic.Mode, jm jobMetr
 	if err != nil {
 		return nil, err
 	}
+	jm.analytic.Observe(&sum)
+	res := &SolveResult{
+		Case:           s.Params.Case().String(),
+		Outcome:        sum.Outcome.String(),
+		StronglyStable: sum.Outcome.StronglyStable(),
+		MaxQueueBits:   sum.MaxQueue(s.Params),
+		MinQueueBits:   sum.MinQueue(s.Params),
+		Rho:            sum.Rho,
+		Crossings:      sum.Crossings,
+		Violations:     sum.Violations.Total,
+		FirstViolation: sum.Violations.FirstPredicate(),
+	}
 	// The linear/Theorem-1 verdicts only exist for valid parameters; a
 	// record/clamp run over broken physics reports them zero-valued.
-	var v linear.Verdict
-	var bound float64
 	if s.Params.Validate() == nil {
-		if v, err = linear.Compare(s.Params); err != nil {
-			return nil, err
-		}
-		bound = core.Theorem1Bound(s.Params)
+		res.LinearStable = linear.SubsystemStable(s.Params, core.Increase) && linear.SubsystemStable(s.Params, core.Decrease)
+		res.Theorem1OK = core.Theorem1Satisfied(s.Params)
+		res.Theorem1Bound = core.Theorem1Bound(s.Params)
 	}
-	return &SolveResult{
-		Case:           s.Params.Case().String(),
-		Outcome:        tr.Outcome.String(),
-		StronglyStable: tr.Outcome.StronglyStable(),
-		LinearStable:   v.LinearStable,
-		Theorem1OK:     v.Theorem1OK,
-		Theorem1Bound:  bound,
-		MaxQueueBits:   tr.MaxQueue(),
-		MinQueueBits:   tr.MinQueue(),
-		Rho:            tr.Rho,
-		Crossings:      len(tr.Crossings),
-		Violations:     tr.Violations.Total,
-		FirstViolation: tr.Violations.FirstPredicate(),
-	}, nil
+	return res, nil
 }
 
-// runSolveAnalytic answers a solve job from the sampling-free engine.
-// It only runs under the off invariant policy, which guarantees the
-// parameters passed core validation at spec time — so the linear and
-// Theorem 1 columns always exist and need no trajectory to compute.
-func runSolveAnalytic(s *SolveSpec, mode analytic.Mode, jm jobMetrics) (*SolveResult, error) {
-	res, err := analytic.SolveOne(s.Params, analytic.Options{
-		Mode:    mode,
-		Start:   s.Start,
-		MaxArcs: s.MaxArcs,
-		Metrics: jm.analytic,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SolveResult{
-		Case:           s.Params.Case().String(),
-		Outcome:        res.Outcome.String(),
-		StronglyStable: res.Outcome.StronglyStable(),
-		LinearStable:   linear.SubsystemStable(s.Params, core.Increase) && linear.SubsystemStable(s.Params, core.Decrease),
-		Theorem1OK:     core.Theorem1Satisfied(s.Params),
-		Theorem1Bound:  core.Theorem1Bound(s.Params),
-		MaxQueueBits:   res.MaxQueue(s.Params),
-		MinQueueBits:   res.MinQueue(s.Params),
-		Rho:            res.Rho,
-		Crossings:      res.Crossings,
-		Engine:         res.Path.String(),
-	}, nil
+// sweepRow is one row of a sweep job's map; err carries the point's own
+// failure so one bad point does not fail its whole span.
+type sweepRow struct {
+	CSV        string
+	Violations uint64
+	err        error
 }
 
-func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, mode analytic.Mode, jm jobMetrics) (*SweepResult, error) {
+func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, jm jobMetrics) (*SweepResult, error) {
 	base := core.FigureExample()
 	base.B = s.BOverQ0 * base.Q0
 	var points []core.Params
@@ -246,67 +202,37 @@ func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, mode anal
 			points = append(points, q)
 		}
 	}
-	type rowVal struct {
-		CSV        string
-		Violations uint64
-	}
 	// The job already occupies one worker slot; a modest inner pool
 	// keeps a single sweep job from monopolizing the host while the
-	// service runs other work.
+	// service runs other work. Points run in batched spans (one
+	// supervision round per span); a span fails as a whole only when the
+	// job is cancelled.
 	inner := sweep.Options{Workers: 2, ContinueOnError: true, Metrics: jm.sweep}
-	var results []sweep.Result[core.Params, rowVal]
-	if mode != analytic.ModeOff && pol == invariant.Off {
-		// Sampling-free path: batch points per worker slot so one warm
-		// Solver (and one supervision round) serves a whole span.
-		results, _ = sweep.RunBatched(ctx, points, execBatchSize,
-			func(ctx context.Context, ps []core.Params, out []rowVal) error {
-				solver := analytic.NewSolver()
-				opts := analytic.Options{Mode: mode, Metrics: jm.analytic}
-				for i, p := range ps {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					r, err := solver.Solve(p, opts)
-					if err != nil {
-						return err
-					}
-					out[i] = rowVal{CSV: fmt.Sprintf("%g,%g,%s,%v,%g,%g,%d",
-						p.Gi, p.Gd, r.Outcome, r.Outcome.StronglyStable(),
-						r.MaxQueue(p), r.Rho, 0)}
+	results, _ := sweep.RunBatched(ctx, points, execBatchSize,
+		func(ctx context.Context, ps []core.Params, out []sweepRow) error {
+			for i, p := range ps {
+				if err := ctx.Err(); err != nil {
+					return err
 				}
-				return nil
-			}, inner)
-	} else {
-		results, _ = sweep.Run(ctx, points, func(ctx context.Context, p core.Params) (rowVal, error) {
-			if err := ctx.Err(); err != nil {
-				return rowVal{}, err
+				out[i] = evalSweepRow(p, pol, jm)
 			}
-			tr, err := core.Solve(p, core.SolveOptions{
-				Invariants: invariant.NewPolicy(pol),
-				Telemetry:  jm.solve,
-			})
-			if err != nil {
-				return rowVal{}, err
-			}
-			return rowVal{
-				CSV: fmt.Sprintf("%g,%g,%s,%v,%g,%g,%d",
-					p.Gi, p.Gd, tr.Outcome, tr.Outcome.StronglyStable(),
-					tr.MaxQueue(), tr.Rho, tr.Violations.Total),
-				Violations: tr.Violations.Total,
-			}, nil
+			return nil
 		}, inner)
-	}
 	res := &SweepResult{
 		Header: "gi,gd,outcome,strongly_stable,max_q_bits,rho,violations",
 		Points: len(points),
 	}
 	for _, r := range results {
-		if r.Err != nil {
+		err := r.Err
+		if err == nil {
+			err = r.Value.err
+		}
+		if err != nil {
 			// A strict abort anywhere in the grid is the job's verdict:
 			// the region is quarantinable, and a partial map under strict
 			// policy would be misleading.
-			if _, ok := invariant.StrictAbort(r.Err); ok {
-				return nil, r.Err
+			if _, ok := invariant.StrictAbort(err); ok {
+				return nil, err
 			}
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -320,19 +246,35 @@ func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, mode anal
 	return res, nil
 }
 
+// evalSweepRow classifies one sweep point into its map row.
+func evalSweepRow(p core.Params, pol invariant.Policy, jm jobMetrics) sweepRow {
+	s, err := core.Classify(p, core.SolveOptions{
+		Invariants: invariant.NewPolicy(pol),
+		Telemetry:  jm.solve,
+	})
+	if err != nil {
+		return sweepRow{err: err}
+	}
+	jm.analytic.Observe(&s)
+	return sweepRow{
+		CSV: fmt.Sprintf("%g,%g,%s,%v,%g,%g,%d",
+			p.Gi, p.Gd, s.Outcome, s.Outcome.StronglyStable(),
+			s.MaxQueue(p), s.Rho, s.Violations.Total),
+		Violations: s.Violations.Total,
+	}
+}
+
 // execBatchSize is the span length batched evaluations hand one worker
-// slot at a time: long enough to amortize a warm Solver and the span's
-// supervision cost, short enough that cancellation and work spread stay
-// responsive.
+// slot at a time: long enough to amortize the span's supervision cost,
+// short enough that cancellation and work spread stay responsive.
 const execBatchSize = 64
 
 // runShard evaluates one cluster sweep shard through the shared
 // canonical row evaluator (cluster.GainGrid.EvalBatch) — the same code
 // path cmd/bcnsweep runs locally, which is what lets the coordinator
-// promise a byte-identical merged map. Points run in batched spans so
-// an analytic-mode grid reuses one warm Solver per span. Every point
-// must produce a row: a shard with holes is worthless to the merge, so
-// the first error (including a strict invariant abort, which feeds the
+// promise a byte-identical merged map. Points run in batched spans.
+// Every point must produce a row: a shard with holes is worthless to the
+// merge, so the first error (including a strict invariant abort, which feeds the
 // worker's own region breaker) fails the whole job and the coordinator
 // re-assigns it.
 func runShard(ctx context.Context, s *cluster.ShardSpec, jm jobMetrics) (*cluster.ShardResult, error) {

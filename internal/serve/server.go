@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bcnphase/internal/analytic"
 	"bcnphase/internal/cluster"
 	"bcnphase/internal/invariant"
 	"bcnphase/internal/qos"
@@ -91,10 +90,6 @@ type Config struct {
 	BreakerCooldown  time.Duration
 	// Invariants is the policy applied when a spec does not name one.
 	Invariants invariant.Policy
-	// Analytic is the solve-engine mode applied when a spec does not
-	// name one. The zero value is analytic.ModeOn — the engine is
-	// default-on, matching the CLIs.
-	Analytic analytic.Mode
 	// Cache stores completed artifacts for idempotent dedup; nil uses a
 	// fresh MemCache.
 	Cache Cache

@@ -38,7 +38,6 @@ import (
 	"math"
 	"time"
 
-	"bcnphase/internal/analytic"
 	"bcnphase/internal/cluster"
 	"bcnphase/internal/core"
 	"bcnphase/internal/faults"
@@ -97,13 +96,11 @@ type Spec struct {
 	// Unlike the timeout it shapes the result, so it is part of the
 	// dedup identity.
 	Invariants string `json:"invariants,omitempty"`
-	// Analytic selects the solve engine for solve and sweep jobs ("on",
-	// "auto", "off"); empty uses the server default. On/auto runs the
-	// sampling-free closed-form engine (internal/analytic) whenever the
-	// effective invariant policy is off; "off" keeps the classic sampled
-	// core.Solve. It shapes the artifact (exact versus sampled extrema),
-	// so it is part of the dedup identity. Shard jobs carry the mode
-	// inside the grid instead, like the invariant policy.
+	// Analytic is accepted for compatibility with clients that still
+	// name a solve engine ("on", "auto" or "off"; anything else is a
+	// spec error) and otherwise ignored: every job runs the one
+	// closed-form kernel, so the field is not part of the dedup
+	// identity and does not change the artifact.
 	Analytic string `json:"analytic,omitempty"`
 
 	Solve  *SolveSpec         `json:"solve,omitempty"`
@@ -204,8 +201,10 @@ func (sp Spec) Validate() error {
 	if _, err := invariant.ParsePolicy(sp.Invariants); err != nil {
 		return fail("%v", err)
 	}
-	if _, err := analytic.ParseMode(sp.Analytic); err != nil {
-		return fail("%v", err)
+	switch sp.Analytic {
+	case "", "on", "auto", "off":
+	default:
+		return fail("unknown analytic mode %q (want on, auto or off)", sp.Analytic)
 	}
 	if sp.TimeoutMs < 0 {
 		return fail("timeout_ms=%d must be non-negative", sp.TimeoutMs)
@@ -251,11 +250,6 @@ func (sp Spec) Validate() error {
 			// The grid's Invariants field is part of the shard's dedup
 			// identity; a second spec-level policy would be ambiguous.
 			return fail("shard jobs carry the invariant policy in the grid, not the spec")
-		}
-		if sp.Analytic != "" {
-			// Likewise the engine mode: it lives in the grid fingerprint so
-			// every worker in a cluster evaluates rows the same way.
-			return fail("shard jobs carry the analytic mode in the grid, not the spec")
 		}
 		if err := sp.Shard.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrSpec, err)
@@ -395,7 +389,6 @@ type specIdentity struct {
 	Format     int
 	Kind       string
 	Invariants string
-	Analytic   string
 	Solve      *SolveSpec
 	Sweep      *SweepSpec
 	Netsim     *NetsimSpec
@@ -412,7 +405,10 @@ type specIdentity struct {
 // (exact extrema, engine tag), so the engine mode joins the identity
 // and pre-engine journal artifacts re-execute instead of replaying in
 // the sampled shape.
-const artifactFormat = 3
+// Format 4: one kernel serves every job (exact extrema under every
+// invariant policy, no engine tag), so the engine mode left the
+// identity and Format 3 artifacts re-execute.
+const artifactFormat = 4
 
 // Key returns the spec's content-hash dedup key: the hex SHA-256 of the
 // canonical identity. Execution knobs (timeout_ms) are excluded, so the
@@ -423,15 +419,10 @@ func (sp Spec) Key() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrSpec, err)
 	}
-	mode, err := analytic.ParseMode(sp.Analytic)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrSpec, err)
-	}
 	return runstate.HashJSON(specIdentity{
 		Format:     artifactFormat,
 		Kind:       sp.Kind,
-		Invariants: pol.String(),  // normalize "" and "none" to "off"
-		Analytic:   mode.String(), // normalize "" to "on"
+		Invariants: pol.String(), // normalize "" and "none" to "off"
 		Solve:      sp.Solve,
 		Sweep:      sp.Sweep,
 		Netsim:     sp.Netsim,

@@ -10,8 +10,8 @@ import (
 // BatchFunc evaluates a contiguous span of points in one call, writing
 // the result of points[i] into out[i] (len(out) == len(points)). A
 // batch evaluator amortizes per-point overhead — buffer reuse, metric
-// flushes, journal writes — across the span; the analytic solve engine
-// is the motivating client.
+// flushes, journal writes — across the span; the gain-plane row
+// evaluator (cluster.GainGrid.EvalBatch) is the motivating client.
 type BatchFunc[P, R any] func(ctx context.Context, points []P, out []R) error
 
 // RunBatched evaluates points through fn in contiguous spans of at most
