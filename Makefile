@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic check bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
+.PHONY: all build test vet race fuzz-seeds fuzz-short metamorphic bench-selftest check bench bench-compare smoke-resume soak soak-cluster soak-chaos soak-overload soak-failover clean
 
 all: check
 
@@ -33,9 +33,23 @@ fuzz-short:
 metamorphic:
 	$(GO) test -run='Metamorphic' ./...
 
+# Vet and test the benchmark module (verdictbench/, its own Go module
+# with `replace bcnphase => ../`) in the offline environment its run.sh
+# builds in, so a change to an API the benchmark imports fails here
+# instead of at benchmark time. Caches go under .bench_build/, as with
+# run.sh.
+BENCH_ENV = GOCACHE=$(CURDIR)/.bench_build/gocache GOMODCACHE=$(CURDIR)/.bench_build/gomodcache \
+	GOPATH=$(CURDIR)/.bench_build/gopath GOTMPDIR=$(CURDIR)/.bench_build/tmp \
+	XDG_CONFIG_HOME=$(CURDIR)/.bench_build/config XDG_CACHE_HOME=$(CURDIR)/.bench_build/cache \
+	GOENV=off GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOFLAGS=
+bench-selftest:
+	mkdir -p .bench_build/tmp
+	cd verdictbench && $(BENCH_ENV) $(GO) vet ./... && $(BENCH_ENV) $(GO) test ./...
+
 # The full pre-merge gate: static checks, build, race-enabled tests,
-# the fuzz seed corpora and the metamorphic relations.
-check: vet build race fuzz-seeds metamorphic
+# the fuzz seed corpora, the metamorphic relations and the benchmark
+# module's self-tests.
+check: vet build race fuzz-seeds metamorphic bench-selftest
 
 # Run every benchmark once (override BENCHTIME for real measurements,
 # e.g. BENCHTIME=2s) and parse the stream into machine-readable

@@ -72,8 +72,6 @@ type (
 	row       = cluster.Row
 )
 
-const csvHeader = cluster.CSVHeader
-
 // localBatchSize is the span length the journal-free local sweep hands
 // one worker slot at a time (see cluster.GainGrid.EvalBatch).
 const localBatchSize = 64
@@ -232,14 +230,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			}, opts)
 	}
 
-	var csv strings.Builder
-	fmt.Fprintln(&csv, csvHeader)
+	rows := make([]row, 0, len(results))
 	var failed []string
 	interrupted := 0
 	for _, r := range results {
 		switch {
 		case r.Err == nil:
-			fmt.Fprintln(&csv, r.Value.CSV)
+			rows = append(rows, r.Value)
 			done++
 		case ctx.Err() != nil && runstate.Interrupted(r.Err):
 			// Drained by the run-level shutdown. A per-point deadline
@@ -251,7 +248,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			failed = append(failed, fmt.Sprintf("Gi=%g Gd=%g: %v", r.Point.Gi, r.Point.Gd, r.Err))
 		}
 	}
-	fmt.Fprint(out, csv.String())
+	csv := cluster.RenderCSV(rows)
+	// Best effort, as stdout always was here: with -resume the run
+	// directory still receives map.csv below.
+	_, _ = out.Write(csv)
 	for _, f := range failed {
 		fmt.Fprintln(os.Stderr, "bcnsweep: point failed:", f)
 	}
@@ -286,7 +286,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// Publish the completed map atomically into the run directory: the
 	// whole sweep either has a complete map.csv or none.
 	if *resume != "" {
-		if err := runstate.WriteFileAtomic(filepath.Join(*resume, "map.csv"), []byte(csv.String()), 0o644); err != nil {
+		if err := runstate.WriteFileAtomic(filepath.Join(*resume, "map.csv"), csv, 0o644); err != nil {
 			return err
 		}
 	}

@@ -69,7 +69,7 @@ func (b *Batch) Len() int { return len(b.Outcome) }
 // failures land in Err[i] — Solve itself never fails.
 func (b *Batch) Solve(params []core.Params, opts Options) {
 	b.Resize(len(params))
-	var agg tally
+	var agg Tally
 	for i := range params {
 		s, err := core.Classify(params[i], opts)
 		if err != nil {
@@ -86,7 +86,7 @@ func (b *Batch) Solve(params []core.Params, opts Options) {
 		b.EndT[i] = s.EndT
 		b.EndX[i] = s.EndX
 		b.EndY[i] = s.EndY
-		agg.fold(&s)
+		agg.Fold(&s)
 	}
-	b.Metrics.flush(&agg)
+	b.Metrics.Flush(&agg)
 }

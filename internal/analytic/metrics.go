@@ -42,19 +42,21 @@ func (m *Metrics) Observe(s *core.Summary) {
 	if m == nil {
 		return
 	}
-	var t tally
-	t.fold(s)
-	m.flush(&t)
+	var t Tally
+	t.Fold(s)
+	m.Flush(&t)
 }
 
-// tally accumulates verdicts locally. Outcome counts index core.Outcome
-// values directly (a small dense enum).
-type tally struct {
+// Tally accumulates verdicts locally, so a batch of points touches the
+// shared counters once (Flush) instead of once per point. Outcome
+// counts index core.Outcome values directly (a small dense enum).
+type Tally struct {
 	solves, arcs, crossings, extrema uint64
 	outcomes                         [8]uint64
 }
 
-func (t *tally) fold(s *core.Summary) {
+// Fold adds one verdict to the tally.
+func (t *Tally) Fold(s *core.Summary) {
 	t.solves++
 	t.arcs += uint64(s.Arcs)
 	t.crossings += uint64(s.Crossings)
@@ -64,7 +66,8 @@ func (t *tally) fold(s *core.Summary) {
 	}
 }
 
-func (m *Metrics) flush(t *tally) {
+// Flush adds the tally to the registry; nil-safe.
+func (m *Metrics) Flush(t *Tally) {
 	if m == nil || t.solves == 0 {
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 
 	"bcnphase/internal/analytic"
 	"bcnphase/internal/core"
@@ -130,12 +129,19 @@ func (g GainGrid) Base() core.Params {
 
 // Points enumerates the grid in row-major order (all Gd values for the
 // first Gi, then the next Gi) — the order map.csv rows appear in.
+// Each axis value is computed once: the first row's Gd values are
+// reused by every later row.
 func (g GainGrid) Points() []GainPoint {
-	pts := make([]GainPoint, 0, g.Steps*g.Steps)
-	for i := 0; i < g.Steps; i++ {
-		gi := geomAt(g.GiLo, g.GiHi, i, g.Steps)
-		for j := 0; j < g.Steps; j++ {
-			pts = append(pts, GainPoint{Gi: gi, Gd: geomAt(g.GdLo, g.GdHi, j, g.Steps)})
+	n := g.Steps
+	pts := make([]GainPoint, n*n)
+	for j := 0; j < n; j++ {
+		pts[j].Gd = geomAt(g.GdLo, g.GdHi, j, n)
+	}
+	for i := 0; i < n; i++ {
+		gi := geomAt(g.GiLo, g.GiHi, i, n)
+		row := pts[i*n : (i+1)*n]
+		for j := range row {
+			row[j] = GainPoint{Gi: gi, Gd: pts[j].Gd}
 		}
 	}
 	return pts
@@ -190,78 +196,97 @@ type EvalMetrics struct {
 
 // Eval evaluates one grid point to its CSV row: the linear criterion of
 // [4], the Theorem 1 sufficient condition, and the phase-plane ground
-// truth. It is the single canonical row evaluation — bcnsweep, the
-// shard executor in internal/serve, and the chaos tests all call it,
-// which is what makes "byte-identical to a single-node run" a property
-// instead of a hope.
+// truth. It is EvalBatch over a span of one point; the two are the
+// single canonical row evaluation — bcnsweep, the shard executor in
+// internal/serve, and the chaos tests all call them, which is what makes
+// "byte-identical to a single-node run" a property instead of a hope.
 func (g GainGrid) Eval(ctx context.Context, pt GainPoint, m EvalMetrics) (Row, error) {
-	// Cooperative cancellation point: a drained point fails with ctx.Err
-	// (and is not journaled) instead of racing the shutdown.
-	if err := ctx.Err(); err != nil {
+	var out [1]Row
+	if err := g.EvalBatch(ctx, []GainPoint{pt}, out[:], m); err != nil {
 		return Row{}, err
 	}
-	return g.row(g.Base(), pt, m)
+	return out[0], nil
 }
 
+// rowBytes is a generous estimate of one map.csv row's length (paper-scale
+// rows run about 115 bytes), used to presize span buffers.
+const rowBytes = 128
+
 // EvalBatch evaluates a contiguous span of grid points, writing the row
-// of pts[i] into out[i] (len(out) must equal len(pts)). It is Eval's
-// batch shape — sweep.BatchFunc compatible — and its rows are
-// byte-identical to per-point Eval calls. The first failing point fails
-// the span.
+// of pts[i] into out[i] (len(out) must equal len(pts)). It is the batch
+// shape of Eval — sweep.BatchFunc compatible. The first failing point
+// fails the span.
+//
+// Each row comes from the kernel's verdict (core.Classify, which samples
+// only when the grid's invariant policy needs the guard) and the
+// closed-form criteria: linear_stable is the pure Routh–Hurwitz
+// criterion of [4], theorem1_ok the paper's sufficient condition. The
+// span's rows are encoded into one buffer (CSVRows) and share one
+// string; the policy is parsed and the verdict counts are flushed once
+// per span.
 func (g GainGrid) EvalBatch(ctx context.Context, pts []GainPoint, out []Row, m EvalMetrics) error {
 	if len(out) != len(pts) {
 		return fmt.Errorf("cluster: eval batch: %d outputs for %d points", len(out), len(pts))
 	}
-	base := g.Base()
+	base, pol := g.Base(), g.Policy()
+	var (
+		enc CSVRows
+		agg analytic.Tally
+	)
+	defer m.Analytic.Flush(&agg)
+	enc.Grow(len(pts), rowBytes)
 	for i, pt := range pts {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		row, err := g.row(base, pt, m)
+		p := base
+		p.Gi = pt.Gi
+		p.Gd = pt.Gd
+		s, err := core.Classify(p, core.SolveOptions{
+			Invariants: invariant.NewPolicy(pol),
+			Telemetry:  m.Solve,
+		})
 		if err != nil {
 			return err
 		}
-		out[i] = row
+		agg.Fold(&s)
+		first := s.Violations.FirstPredicate()
+		enc.Lead(pt.Gi)
+		enc.Float(pt.Gd)
+		enc.Int(int(p.Case()))
+		enc.Bool(linear.SubsystemStable(p, core.Increase) && linear.SubsystemStable(p, core.Decrease))
+		enc.Bool(core.Theorem1Satisfied(p))
+		enc.Float(core.Theorem1Bound(p))
+		enc.Str(s.Outcome.String())
+		enc.Bool(s.Outcome.StronglyStable())
+		enc.Float(s.MaxQueue(p))
+		enc.Float(s.Rho)
+		enc.Uint(s.Violations.Total)
+		enc.Str(first)
+		enc.EndRow()
+		out[i] = Row{Violations: s.Violations.Total, FirstPred: first}
+	}
+	enc.Seal()
+	for i := range out {
+		out[i].CSV = enc.Next()
 	}
 	return nil
 }
 
-// row builds one map.csv row from the kernel's verdict (core.Classify,
-// which samples only when the grid's invariant policy needs the guard)
-// and the closed-form criteria: LinearStable is the pure Routh–Hurwitz
-// criterion of [4], Theorem1OK the paper's sufficient condition.
-func (g GainGrid) row(base core.Params, pt GainPoint, m EvalMetrics) (Row, error) {
-	p := base
-	p.Gi = pt.Gi
-	p.Gd = pt.Gd
-	s, err := core.Classify(p, core.SolveOptions{
-		Invariants: invariant.NewPolicy(g.Policy()),
-		Telemetry:  m.Solve,
-	})
-	if err != nil {
-		return Row{}, err
-	}
-	m.Analytic.Observe(&s)
-	linStable := linear.SubsystemStable(p, core.Increase) && linear.SubsystemStable(p, core.Decrease)
-	first := s.Violations.FirstPredicate()
-	return Row{
-		CSV: fmt.Sprintf("%g,%g,%d,%v,%v,%g,%s,%v,%g,%g,%d,%s",
-			pt.Gi, pt.Gd, int(p.Case()), linStable, core.Theorem1Satisfied(p),
-			core.Theorem1Bound(p), s.Outcome, s.Outcome.StronglyStable(),
-			s.MaxQueue(p), s.Rho, s.Violations.Total, first),
-		Violations: s.Violations.Total,
-		FirstPred:  first,
-	}, nil
-}
-
 // RenderCSV assembles the merged map.csv from rows in grid order.
 func RenderCSV(rows []Row) []byte {
-	var b strings.Builder
-	fmt.Fprintln(&b, CSVHeader)
+	n := len(CSVHeader) + 1
 	for _, r := range rows {
-		fmt.Fprintln(&b, r.CSV)
+		n += len(r.CSV) + 1
 	}
-	return []byte(b.String())
+	b := make([]byte, 0, n)
+	b = append(b, CSVHeader...)
+	b = append(b, '\n')
+	for _, r := range rows {
+		b = append(b, r.CSV...)
+		b = append(b, '\n')
+	}
+	return b
 }
 
 func geomAt(lo, hi float64, i, n int) float64 {

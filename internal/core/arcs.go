@@ -110,16 +110,41 @@ func (f form) firstZeroAfter(kind ArcKind, t0 float64) (float64, bool) {
 // At evaluates the state at arc time t ≥ 0. x and y share their
 // eigenvalues, so each exponential is computed once for both.
 func (a *Arc) At(t float64) (x, y float64) {
+	e1, e2 := a.exps(t)
+	return a.x.at(a.kind, t, e1, e2), a.y.at(a.kind, t, e1, e2)
+}
+
+// X evaluates x alone at arc time t ≥ 0: the root finders need no y.
+// It runs the same exps and form.at as At, so X(t) and the x of At(t)
+// agree bit for bit.
+func (a *Arc) X(t float64) float64 {
+	e1, e2 := a.exps(t)
+	return a.x.at(a.kind, t, e1, e2)
+}
+
+// exps returns the arc's exponentials at t, shared by its components:
+// e^{αt} for spirals, e^{λ1·t} and e^{λ2·t} for nodes, e^{λt} for the
+// critical case (e2 unused outside nodes).
+func (a *Arc) exps(t float64) (e1, e2 float64) {
 	switch a.kind {
 	case ArcSpiral:
-		e := math.Exp(a.x.b * t)
-		return a.x.a * e * math.Cos(a.x.c*t+a.x.d), a.y.a * e * math.Cos(a.y.c*t+a.y.d)
+		return math.Exp(a.x.b * t), 0
 	case ArcNode:
-		e1, e2 := math.Exp(a.x.b*t), math.Exp(a.x.d*t)
-		return a.x.a*e1 + a.x.c*e2, a.y.a*e1 + a.y.c*e2
+		return math.Exp(a.x.b * t), math.Exp(a.x.d * t)
 	default:
-		e := math.Exp(a.x.c * t)
-		return (a.x.a + a.x.b*t) * e, (a.y.a + a.y.b*t) * e
+		return math.Exp(a.x.c * t), 0
+	}
+}
+
+// at evaluates the component at t from the exponentials exps returned.
+func (f form) at(kind ArcKind, t, e1, e2 float64) float64 {
+	switch kind {
+	case ArcSpiral:
+		return f.a * e1 * math.Cos(f.c*t+f.d)
+	case ArcNode:
+		return f.a*e1 + f.c*e2
+	default:
+		return (f.a + f.b*t) * e1
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -429,5 +430,48 @@ func eigen(a Arc) (float64, float64) {
 		return a.x.b, a.x.d
 	default:
 		return a.x.c, a.x.c
+	}
+}
+
+// TestArcXMatchesAt: Arc.X shares its expression with At, so the root
+// finders' x-only evaluations agree with the x of At bit for bit on
+// every arc family, including regimes inside and at the edges of the
+// ArcDiscTol band.
+func TestArcXMatchesAt(t *testing.T) {
+	type regime struct {
+		name    string
+		m, n, k float64
+	}
+	var regimes []regime
+	for _, c := range arcCases {
+		regimes = append(regimes, regime{c.name, c.m, c.n, c.k})
+	}
+	for _, eps := range []float64{0, 1e-16, -1e-16, 0.9e-13, -0.9e-13, 2e-13, -2e-13, 1e-9, -1e-9} {
+		m, n := degenerateRegime(eps)
+		regimes = append(regimes, regime{fmt.Sprintf("band eps=%g", eps), m, n, 1e-3})
+	}
+	kinds := map[ArcKind]int{}
+	for _, r := range regimes {
+		for _, ic := range [][2]float64{{1, 0}, {0, 1}, {-2, 3}, {0.1, -0.7}, {-1, -1}, {-2.5e6, 0}} {
+			arc, err := NewArc(r.m, r.n, r.k, ic[0], ic[1])
+			if err != nil {
+				t.Fatalf("%s: NewArc: %v", r.name, err)
+			}
+			kinds[arc.Kind()]++
+			ts := arc.TimeScale()
+			for i := 0; i <= 200; i++ {
+				// Times from 0 through many time scales, off any grid.
+				tt := ts * float64(i) * float64(i) / 997
+				x, _ := arc.At(tt)
+				if got := arc.X(tt); math.Float64bits(got) != math.Float64bits(x) {
+					t.Fatalf("%s ic=%v t=%v: X = %v, At x = %v", r.name, ic, tt, got, x)
+				}
+			}
+		}
+	}
+	for _, k := range []ArcKind{ArcSpiral, ArcNode, ArcCritical} {
+		if kinds[k] == 0 {
+			t.Errorf("no %v arc exercised", k)
+		}
 	}
 }

@@ -429,16 +429,18 @@ func stitch(p Params, opts SolveOptions, smp *sampler) (Summary, error) {
 		isMax := y > 0 || (y == 0 && x < 0)
 		var xz float64
 		if hasZ {
-			xz, _ = arc.At(tz)
+			xz = arc.X(tz)
 			s.Extrema++
 			if smp != nil {
 				smp.tr.Extrema = append(smp.tr.Extrema, Extremum{T: tGlobal + tz, X: xz, Max: isMax})
 			}
 		}
 
+		xNext, yNext := arc.At(tEnd)
+
 		// Buffer enforcement: earliest boundary hit inside (eps, tEnd].
 		if !opts.IgnoreBuffer {
-			if tb, hi, ok := firstBoundaryHit(arc, eps, tEnd, xLo, xHi); ok {
+			if tb, hi, ok := firstBoundaryHit(&arc, tz, xz, hasZ, tEnd, xNext, xLo, xHi); ok {
 				if hasZ && tz < tb {
 					ext.extremum(tGlobal+tz, xz, isMax)
 				}
@@ -465,8 +467,7 @@ func stitch(p Params, opts SolveOptions, smp *sampler) (Summary, error) {
 				if tz, more = arc.FirstYZero(tz); !more || tz >= tEnd {
 					break
 				}
-				xn, _ := arc.At(tz)
-				ext.add(xn)
+				ext.add(arc.X(tz))
 			}
 		}
 		if smp != nil {
@@ -480,7 +481,6 @@ func stitch(p Params, opts SolveOptions, smp *sampler) (Summary, error) {
 		s.Arcs++
 		s.dwell[region] += tEnd
 
-		xNext, yNext := arc.At(tEnd)
 		if !chk.Enabled() && (!finite(xNext) || !finite(yNext)) {
 			return Summary{}, fmt.Errorf("%w: state (%v, %v) at t=%v", ErrNonFinite, xNext, yNext, tGlobal+tEnd)
 		}
@@ -648,23 +648,21 @@ func (tr *Trajectory) appendPoint(t, x, y float64) {
 // arc, x(t) is monotone between y-zeros and the arc contains at most one
 // y-zero before its end, so checking the entry point, the extremum and the
 // endpoint is exact; the crossing time is then refined by bisection on the
-// monotone piece.
+// monotone piece. The caller passes the knots it already holds: the
+// extremum (tz, xz) when hasZ, and xe = x(tEnd).
 //
 // An entry state resting exactly on a boundary (the canonical start at an
 // empty queue, x = −q0) is not a hit: the trajectory is entering the
 // interior.
-func firstBoundaryHit(arc Arc, eps, tEnd, xLo, xHi float64) (t float64, hi, ok bool) {
+func firstBoundaryHit(arc *Arc, tz, xz float64, hasZ bool, tEnd, xe, xLo, xHi float64) (t float64, hi, ok bool) {
 	type knot struct{ t, x float64 }
 	var knots [3]knot
-	x0, _ := arc.At(0)
-	knots[0] = knot{0, x0}
+	knots[0] = knot{0, arc.X(0)}
 	n := 1
-	if tz, okz := arc.FirstYZero(eps); okz && tz < tEnd {
-		xz, _ := arc.At(tz)
+	if hasZ {
 		knots[n] = knot{tz, xz}
 		n++
 	}
-	xe, _ := arc.At(tEnd)
 	knots[n] = knot{tEnd, xe}
 	n++
 
@@ -687,21 +685,15 @@ func firstBoundaryHit(arc Arc, eps, tEnd, xLo, xHi float64) (t float64, hi, ok b
 }
 
 // refineBoundary bisects for x(t) = c on [lo, hi] where x(lo) is inside
-// and x(hi) outside.
-func refineBoundary(arc Arc, lo, hi, c float64, upper bool) float64 {
-	inside := func(x float64) bool {
-		if upper {
-			return x < c
-		}
-		return x > c
-	}
+// and x(hi) outside. Only x is evaluated (Arc.X), so each step costs one
+// exponential and, on spirals, one cosine.
+func refineBoundary(arc *Arc, lo, hi, c float64, upper bool) float64 {
 	for i := 0; i < 80; i++ {
 		mid := 0.5 * (lo + hi)
 		if mid == lo || mid == hi {
 			break
 		}
-		x, _ := arc.At(mid)
-		if inside(x) {
+		if x := arc.X(mid); (upper && x < c) || (!upper && x > c) {
 			lo = mid
 		} else {
 			hi = mid

@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sync/atomic"
 
+	"bcnphase/internal/analytic"
 	"bcnphase/internal/cluster"
 	"bcnphase/internal/core"
 	"bcnphase/internal/faults"
@@ -190,18 +190,8 @@ type sweepRow struct {
 }
 
 func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, jm jobMetrics) (*SweepResult, error) {
-	base := core.FigureExample()
-	base.B = s.BOverQ0 * base.Q0
-	var points []core.Params
-	for i := 0; i < s.Steps; i++ {
-		p := base
-		p.Gi = geomAt(s.GiLo, s.GiHi, i, s.Steps)
-		for j := 0; j < s.Steps; j++ {
-			q := p
-			q.Gd = geomAt(s.GdLo, s.GdHi, j, s.Steps)
-			points = append(points, q)
-		}
-	}
+	grid := cluster.GainGrid{BOverQ0: s.BOverQ0, GiLo: s.GiLo, GiHi: s.GiHi, GdLo: s.GdLo, GdHi: s.GdHi, Steps: s.Steps}
+	base, points := grid.Base(), grid.Points()
 	// The job already occupies one worker slot; a modest inner pool
 	// keeps a single sweep job from monopolizing the host while the
 	// service runs other work. Points run in batched spans (one
@@ -209,14 +199,8 @@ func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, jm jobMet
 	// job is cancelled.
 	inner := sweep.Options{Workers: 2, ContinueOnError: true, Metrics: jm.sweep}
 	results, _ := sweep.RunBatched(ctx, points, execBatchSize,
-		func(ctx context.Context, ps []core.Params, out []sweepRow) error {
-			for i, p := range ps {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				out[i] = evalSweepRow(p, pol, jm)
-			}
-			return nil
+		func(ctx context.Context, pts []cluster.GainPoint, out []sweepRow) error {
+			return evalSweepSpan(ctx, base, pts, out, pol, jm)
 		}, inner)
 	res := &SweepResult{
 		Header: "gi,gd,outcome,strongly_stable,max_q_bits,rho,violations",
@@ -246,23 +230,55 @@ func runSweep(ctx context.Context, s *SweepSpec, pol invariant.Policy, jm jobMet
 	return res, nil
 }
 
-// evalSweepRow classifies one sweep point into its map row.
-func evalSweepRow(p core.Params, pol invariant.Policy, jm jobMetrics) sweepRow {
-	s, err := core.Classify(p, core.SolveOptions{
-		Invariants: invariant.NewPolicy(pol),
-		Telemetry:  jm.solve,
-	})
-	if err != nil {
-		return sweepRow{err: err}
+// evalSweepSpan classifies a span of sweep points into their map rows,
+// encoded like the cluster rows (cluster.CSVRows: one buffer and one
+// string per span, verdict counts flushed once). A failing point keeps
+// its error in its row and writes no text.
+func evalSweepSpan(ctx context.Context, base core.Params, pts []cluster.GainPoint, out []sweepRow, pol invariant.Policy, jm jobMetrics) error {
+	var (
+		enc cluster.CSVRows
+		agg analytic.Tally
+	)
+	defer jm.analytic.Flush(&agg)
+	enc.Grow(len(pts), sweepRowBytes)
+	for i, pt := range pts {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		p := base
+		p.Gi, p.Gd = pt.Gi, pt.Gd
+		s, err := core.Classify(p, core.SolveOptions{
+			Invariants: invariant.NewPolicy(pol),
+			Telemetry:  jm.solve,
+		})
+		if err != nil {
+			out[i] = sweepRow{err: err}
+			enc.EndRow()
+			continue
+		}
+		agg.Fold(&s)
+		enc.Lead(pt.Gi)
+		enc.Float(pt.Gd)
+		enc.Str(s.Outcome.String())
+		enc.Bool(s.Outcome.StronglyStable())
+		enc.Float(s.MaxQueue(p))
+		enc.Float(s.Rho)
+		enc.Uint(s.Violations.Total)
+		enc.EndRow()
+		out[i] = sweepRow{Violations: s.Violations.Total}
 	}
-	jm.analytic.Observe(&s)
-	return sweepRow{
-		CSV: fmt.Sprintf("%g,%g,%s,%v,%g,%g,%d",
-			p.Gi, p.Gd, s.Outcome, s.Outcome.StronglyStable(),
-			s.MaxQueue(p), s.Rho, s.Violations.Total),
-		Violations: s.Violations.Total,
+	enc.Seal()
+	for i := range out {
+		if row := enc.Next(); out[i].err == nil {
+			out[i].CSV = row
+		}
 	}
+	return nil
 }
+
+// sweepRowBytes is a generous estimate of one sweep-job row's length,
+// used to presize span buffers.
+const sweepRowBytes = 80
 
 // execBatchSize is the span length batched evaluations hand one worker
 // slot at a time: long enough to amortize the span's supervision cost,
@@ -323,9 +339,4 @@ func runNetsim(ctx context.Context, s *NetsimSpec, pol invariant.Policy, jm jobM
 		Violations:     res.Invariants.Total,
 		FirstViolation: res.Invariants.FirstPredicate(),
 	}, nil
-}
-
-func geomAt(lo, hi float64, i, n int) float64 {
-	f := float64(i) / float64(n-1)
-	return lo * math.Pow(hi/lo, f)
 }
