@@ -444,6 +444,55 @@ func TestClusterSweepMergesAndResumes(t *testing.T) {
 	}
 }
 
+// TestCoordinatorComputesPointKeysOnlyWithJournal: point keys address
+// journal records and nothing else, so a coordinator without a journal
+// plans and merges every shard without one PointKey call (Keys stays
+// nil), while one with a journal carries a key for every point.
+func TestCoordinatorComputesPointKeysOnlyWithJournal(t *testing.T) {
+	grid := testGrid(5)
+	w := newFakeWorker(t, nil)
+	for _, j := range []*memJournal{nil, newMemJournal()} {
+		var mu sync.Mutex
+		var shards []Shard
+		cfg := Config{
+			Workers: []string{w.URL()}, ShardSize: 4, HeartbeatInterval: -1, Seed: 1,
+			OnShardDone: func(_ string, sh Shard) {
+				mu.Lock()
+				shards = append(shards, sh)
+				mu.Unlock()
+			},
+		}
+		if j != nil {
+			cfg.Journal = j
+		}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := c.Run(context.Background(), grid)
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.CSV, expectedCSV(grid)) {
+			t.Errorf("journal=%v: merged CSV diverges from the reference", j != nil)
+		}
+		mu.Lock()
+		if len(shards) != 7 {
+			t.Errorf("journal=%v: %d shards done, want 7", j != nil, len(shards))
+		}
+		for _, sh := range shards {
+			if j == nil && sh.Keys != nil {
+				t.Errorf("no journal: shard %d carries %d point keys, want none computed", sh.Index, len(sh.Keys))
+			}
+			if j != nil && len(sh.Keys) != len(sh.Points) {
+				t.Errorf("journal: shard %d carries %d keys for %d points", sh.Index, len(sh.Keys), len(sh.Points))
+			}
+		}
+		mu.Unlock()
+	}
+}
+
 func TestClusterHonorsRetryAfterOn429(t *testing.T) {
 	grid := testGrid(3) // 9 points, one shard at size 64
 	var times struct {

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -15,21 +18,71 @@ import (
 // unlike ErrWire, which is a terminal verdict about the message shape.
 var ErrDigest = errors.New("cluster: shard result failed integrity check")
 
-// RowSum is the per-row content checksum: runstate.HashJSON of the row,
-// computed by the worker that evaluated it. The coordinator recomputes
-// it on receipt, so a row corrupted in flight (truncated or bit-flipped
-// anywhere between evaluation and merge) is caught before it can reach
-// the journal.
+// RowSum is the per-row content checksum: the hex SHA-256 of the row's
+// JSON encoding (runstate.HashJSON of the row), computed by the worker
+// that evaluated it. The coordinator recomputes it on receipt, so a row
+// corrupted in flight (truncated or bit-flipped anywhere between
+// evaluation and merge) is caught before it can reach the journal.
 func RowSum(r Row) string {
-	sum, err := runstate.HashJSON(r)
+	var hx [2 * sha256.Size]byte
+	rowSum(&hx, r)
+	return string(hx[:])
+}
+
+// rowSum writes RowSum(r) into hx, encoding the row in a stack buffer.
+func rowSum(hx *[2 * sha256.Size]byte, r Row) {
+	var buf [512]byte
+	sum := sha256.Sum256(appendRow(buf[:0], r))
+	hex.Encode(hx[:], sum[:])
+}
+
+// appendRow appends r's JSON encoding to dst: exactly the bytes
+// json.Marshal(r) writes, which RowSum and the coordinator's journal
+// row records both depend on. Rows whose strings json.Marshal copies
+// verbatim (every row the evaluator renders) are encoded directly;
+// any other row goes through json.Marshal.
+func appendRow(dst []byte, r Row) []byte {
+	if plainJSON(r.CSV) && plainJSON(r.FirstPred) {
+		dst = append(dst, `{"CSV":"`...)
+		dst = append(dst, r.CSV...)
+		dst = append(dst, `","Violations":`...)
+		dst = strconv.AppendUint(dst, r.Violations, 10)
+		dst = append(dst, `,"FirstPred":"`...)
+		dst = append(dst, r.FirstPred...)
+		return append(dst, `"}`...)
+	}
+	raw, err := json.Marshal(r)
 	if err != nil {
 		// Row is a flat struct of strings and integers; its JSON encoding
 		// cannot fail. Make the impossible loud instead of threading an
 		// error that no caller could act on.
-		panic(fmt.Sprintf("cluster: hash row: %v", err))
+		panic(fmt.Sprintf("cluster: encode row: %v", err))
 	}
-	return sum
+	return append(dst, raw...)
 }
+
+// plainJSON reports whether json.Marshal writes s between its quotes
+// unchanged: printable ASCII other than the quote, the backslash and
+// the HTML-escaped <, > and &.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !jsonVerbatim[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// jsonVerbatim[c] reports whether json.Marshal copies byte c into a
+// JSON string unchanged. appendRow writes, and readShardArtifact reads,
+// only strings made of such bytes.
+var jsonVerbatim = func() (t [256]bool) {
+	for c := 0x20; c <= 0x7e; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'], t['<'], t['>'], t['&'] = false, false, false, false, false
+	return t
+}()
 
 // ShardDigest chains a shard's index and its per-row checksums into the
 // shard-level digest, via the same length-prefixed runstate hashing the
@@ -66,8 +119,9 @@ func VerifyShardResult(res ShardResult) error {
 	if len(res.RowSums) != len(res.Rows) {
 		return fmt.Errorf("%w: shard %d has %d row checksums for %d rows", ErrDigest, res.Index, len(res.RowSums), len(res.Rows))
 	}
+	var hx [2 * sha256.Size]byte
 	for i, r := range res.Rows {
-		if RowSum(r) != res.RowSums[i] {
+		if rowSum(&hx, r); string(hx[:]) != res.RowSums[i] {
 			return fmt.Errorf("%w: shard %d row %d does not match its checksum", ErrDigest, res.Index, i)
 		}
 	}

@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+
+	"bcnphase/internal/runstate"
 )
 
 func signedResult(n int) ShardResult {
@@ -127,4 +131,48 @@ func FuzzVerifyShardResult(f *testing.F) {
 			t.Fatalf("freshly signed result rejected: %v", err)
 		}
 	})
+}
+
+// TestRowSumMatchesHashJSON: RowSum is runstate.HashJSON of the row and
+// appendRow writes json.Marshal's bytes, over the paper-scale maps under
+// the off and record policies and over strings json.Marshal escapes or
+// rewrites (HTML characters, quote, backslash, control bytes, non-ASCII,
+// U+2028, invalid UTF-8), which appendRow hands to json.Marshal.
+func TestRowSumMatchesHashJSON(t *testing.T) {
+	var rows []Row
+	for _, b := range []float64{2, 3, 5, 8} {
+		for _, policy := range []string{"off", "record"} {
+			g := paperGrid(b, policy)
+			pts := g.Points()
+			out := make([]Row, len(pts))
+			if err := g.EvalBatch(context.Background(), pts, out, EvalMetrics{}); err != nil {
+				t.Fatalf("b=%v %s: %v", b, policy, err)
+			}
+			rows = append(rows, out...)
+		}
+	}
+	edges := []string{"", "<", ">", "&", `"`, `\`, "/", "\x00", "\n", "\x1f", "\x7f", "é",
+		"\u2028", "\u2029", "\xff", "a\xc3", "\ufffd", "q<b&c>d", "queue-bounds"}
+	for _, s := range edges {
+		rows = append(rows,
+			Row{CSV: s, FirstPred: "queue-bounds"},
+			Row{CSV: "0.05,1", Violations: math.MaxUint64, FirstPred: s},
+			Row{CSV: s + "," + s, Violations: 1, FirstPred: s})
+	}
+	for i, r := range rows {
+		want, err := runstate.HashJSON(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := RowSum(r); got != want {
+			t.Fatalf("row %d %+v: RowSum %s, HashJSON %s", i, r, got, want)
+		}
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendRow([]byte("prefix"), r); string(got) != "prefix"+string(raw) {
+			t.Fatalf("row %d: appendRow wrote %q, json.Marshal %q", i, got, raw)
+		}
+	}
 }

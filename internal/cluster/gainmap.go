@@ -49,7 +49,9 @@ type GainPoint struct {
 // they are the JSON shape of both the shard result envelope and the
 // journal records cmd/bcnsweep has written since the resume PR, so a
 // coordinator journal and a bcnsweep -resume journal are
-// interchangeable.
+// interchangeable. appendRow and readShardArtifact spell that shape out
+// by hand; TestRowSumMatchesHashJSON and FuzzShardArtifactReader hold
+// them to encoding/json.
 type Row struct {
 	// CSV is the rendered output line.
 	CSV string

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 )
 
 // ErrWire wraps every coordinator wire-message validation failure;
@@ -80,7 +81,8 @@ type Shard struct {
 	Points []GainPoint
 	// GridIdx[i] is Points[i]'s position in the full grid enumeration.
 	GridIdx []int
-	// Keys[i] is Points[i]'s journal key.
+	// Keys[i] is Points[i]'s journal key; nil when the coordinator
+	// runs without a journal.
 	Keys []string
 }
 
@@ -103,6 +105,12 @@ type doneMarker struct {
 // shard size — never on the worker set — so shard composition (and with
 // it every done-marker key) is stable across restarts and worker churn.
 func PlanShards(grid GainGrid, size int) (fingerprint string, points []GainPoint, shards []Shard, err error) {
+	return planShards(grid, size, true)
+}
+
+// planShards is PlanShards; with keys false it leaves every Shard.Keys
+// nil, which is all a coordinator without a journal needs.
+func planShards(grid GainGrid, size int, keys bool) (fingerprint string, points []GainPoint, shards []Shard, err error) {
 	if err := grid.Validate(); err != nil {
 		return "", nil, nil, err
 	}
@@ -123,12 +131,18 @@ func PlanShards(grid GainGrid, size int) (fingerprint string, points []GainPoint
 			hi = len(points)
 		}
 		sh := Shard{
-			Index:  len(shards),
-			Points: points[lo:hi:hi],
+			Index:   len(shards),
+			Points:  points[lo:hi:hi],
+			GridIdx: make([]int, 0, hi-lo),
+		}
+		if keys {
+			sh.Keys = make([]string, 0, hi-lo)
 		}
 		for i := lo; i < hi; i++ {
 			sh.GridIdx = append(sh.GridIdx, i)
-			sh.Keys = append(sh.Keys, PointKey(fingerprint, points[i]))
+			if keys {
+				sh.Keys = append(sh.Keys, PointKey(fingerprint, points[i]))
+			}
 		}
 		shards = append(shards, sh)
 	}
@@ -199,19 +213,28 @@ type shardArtifact struct {
 // DecodeShardArtifact parses a worker's job artifact into its
 // ShardResult, validating it against the assignment it answers: same
 // shard index, exactly one Row per assigned point, every row non-empty.
-// It never panics on arbitrary input (fuzzed in fuzz_test.go).
+// The artifact shape workers write is read in one pass
+// (readShardArtifact); anything else goes through json.Unmarshal. It
+// never panics on arbitrary input (fuzzed in fuzz_test.go).
 func DecodeShardArtifact(raw []byte, want *ShardSpec) (ShardResult, error) {
 	if int64(len(raw)) > MaxWireBytes {
 		return ShardResult{}, fmt.Errorf("%w: artifact of %d bytes exceeds cap", ErrWire, len(raw))
 	}
-	var art shardArtifact
-	if err := json.Unmarshal(raw, &art); err != nil {
-		return ShardResult{}, fmt.Errorf("%w: %v", ErrWire, err)
+	rowsHint := 0
+	if want != nil {
+		rowsHint = len(want.Points)
 	}
-	if art.Kind != "shard" || art.Shard == nil {
-		return ShardResult{}, fmt.Errorf("%w: artifact kind %q is not a shard result", ErrWire, art.Kind)
+	res, ok := readShardArtifact(raw, rowsHint)
+	if !ok {
+		var art shardArtifact
+		if err := json.Unmarshal(raw, &art); err != nil {
+			return ShardResult{}, fmt.Errorf("%w: %v", ErrWire, err)
+		}
+		if art.Kind != "shard" || art.Shard == nil {
+			return ShardResult{}, fmt.Errorf("%w: artifact kind %q is not a shard result", ErrWire, art.Kind)
+		}
+		res = *art.Shard
 	}
-	res := *art.Shard
 	if want != nil {
 		if res.Index != want.Index {
 			return ShardResult{}, fmt.Errorf("%w: shard result index %d answers assignment %d", ErrWire, res.Index, want.Index)
@@ -226,6 +249,123 @@ func DecodeShardArtifact(raw []byte, want *ShardSpec) (ShardResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// readShardArtifact reads the exact artifact a worker writes for a
+// shard job, json.Marshal of serve.Artifact:
+//
+//	{"key":"…","kind":"shard","invariants":"…","shard":{"index":0,
+//	"rows":[{"CSV":"…","Violations":0,"FirstPred":"…"},…],
+//	"row_sums":["…",…],"digest":"…"}}
+//
+// with no whitespace, row_sums and digest optional, unsigned integers
+// without leading zeros, and every string made of bytes json.Marshal
+// writes verbatim (printable ASCII other than the quote, the backslash,
+// <, > and &), so nothing needs unescaping. It reads in one pass without
+// reflection, and every string in the result is a substring of one copy
+// of raw. ok is false for any other input; whenever ok is true, res is
+// what json.Unmarshal decodes from raw (FuzzShardArtifactReader).
+// rowsHint presizes the row slice.
+func readShardArtifact(raw []byte, rowsHint int) (res ShardResult, ok bool) {
+	r := wireReader{s: string(raw)}
+	r.lit(`{"key":`)
+	r.str()
+	r.lit(`,"kind":"shard","invariants":`)
+	r.str()
+	r.lit(`,"shard":{"index":`)
+	res.Index = int(r.uint(9))
+	r.lit(`,"rows":[`)
+	res.Rows = make([]Row, 0, rowsHint)
+	for !r.bad && !r.opt(`]`) {
+		if len(res.Rows) > 0 {
+			r.lit(`,`)
+		}
+		var row Row
+		r.lit(`{"CSV":`)
+		row.CSV = r.str()
+		r.lit(`,"Violations":`)
+		row.Violations = r.uint(19)
+		r.lit(`,"FirstPred":`)
+		row.FirstPred = r.str()
+		r.lit(`}`)
+		res.Rows = append(res.Rows, row)
+	}
+	if r.opt(`,"row_sums":[`) {
+		res.RowSums = make([]string, 0, len(res.Rows))
+		for !r.bad && !r.opt(`]`) {
+			if len(res.RowSums) > 0 {
+				r.lit(`,`)
+			}
+			res.RowSums = append(res.RowSums, r.str())
+		}
+	}
+	if r.opt(`,"digest":`) {
+		res.Digest = r.str()
+	}
+	r.lit(`}}`)
+	if r.bad || r.s != "" {
+		return ShardResult{}, false
+	}
+	return res, true
+}
+
+// wireReader consumes a string front to back. The first mismatch sets
+// bad, after which every read is a no-op returning the zero value.
+type wireReader struct {
+	s   string
+	bad bool
+}
+
+// opt consumes lit if the input starts with it.
+func (r *wireReader) opt(lit string) bool {
+	if r.bad || !strings.HasPrefix(r.s, lit) {
+		return false
+	}
+	r.s = r.s[len(lit):]
+	return true
+}
+
+// lit consumes lit or marks the input bad.
+func (r *wireReader) lit(lit string) {
+	if !r.opt(lit) {
+		r.bad = true
+	}
+}
+
+// str consumes a quoted string whose bytes json.Marshal writes
+// verbatim (jsonVerbatim), so it needs no unescaping.
+func (r *wireReader) str() string {
+	r.lit(`"`)
+	i := 0
+	for i < len(r.s) && jsonVerbatim[r.s[i]] {
+		i++
+	}
+	if r.bad || i == len(r.s) || r.s[i] != '"' {
+		r.bad = true
+		return ""
+	}
+	v := r.s[:i]
+	r.s = r.s[i+1:]
+	return v
+}
+
+// uint consumes an unsigned decimal integer of at most maxDigits digits
+// with no leading zero.
+func (r *wireReader) uint(maxDigits int) uint64 {
+	if r.bad {
+		return 0
+	}
+	var v uint64
+	n := 0
+	for ; n < len(r.s) && n <= maxDigits && '0' <= r.s[n] && r.s[n] <= '9'; n++ {
+		v = v*10 + uint64(r.s[n]-'0')
+	}
+	if n == 0 || n > maxDigits || (n > 1 && r.s[0] == '0') {
+		r.bad = true
+		return 0
+	}
+	r.s = r.s[n:]
+	return v
 }
 
 // WorkerStatus is the heartbeat envelope: the slice of a worker's

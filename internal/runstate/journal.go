@@ -376,12 +376,17 @@ func HashJSON(v any) (string, error) {
 // composition of already-hashed parts belongs here rather than in ad-hoc
 // concatenation.
 func HashChain(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
+	n := 0
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
+		n += 8 + len(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, n)
+	for _, p := range parts {
+		b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
+		b = append(b, p...)
+	}
+	sum := sha256.Sum256(b)
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }

@@ -2,6 +2,9 @@ package runstate
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -326,5 +329,35 @@ func TestHashJSONStableAndSensitive(t *testing.T) {
 	}
 	if _, err := HashJSON(func() {}); err == nil {
 		t.Error("unmarshalable value accepted")
+	}
+}
+
+// TestHashChainMatchesStreamingSHA256: HashChain is SHA-256 over each
+// part's 8-byte big-endian length followed by the part, hex encoded —
+// checked against that definition written out as a streaming hash.
+func TestHashChainMatchesStreamingSHA256(t *testing.T) {
+	reference := func(parts ...string) string {
+		h := sha256.New()
+		var n [8]byte
+		for _, p := range parts {
+			binary.BigEndian.PutUint64(n[:], uint64(len(p)))
+			h.Write(n[:])
+			h.Write([]byte(p))
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	long := strings.Repeat("0123456789abcdef", 300)
+	for _, parts := range [][]string{
+		nil,
+		{""},
+		{"", ""},
+		{"ab", "c"},
+		{"a", "bc"},
+		{"shard:7", long[:64], long[64:128], ""},
+		{long, "\x00\xff", long},
+	} {
+		if got, want := HashChain(parts...), reference(parts...); got != want {
+			t.Errorf("HashChain(%d parts) = %s, want %s", len(parts), got, want)
+		}
 	}
 }
