@@ -40,8 +40,9 @@ func upstream(t *testing.T) (*httptest.Server, *atomic.Int64) {
 			http.Error(w, `{"error":"not a shard job"}`, http.StatusBadRequest)
 			return
 		}
-		res := cluster.ShardResult{Index: env.Shard.Index, Rows: make([]cluster.Row, len(env.Shard.Points))}
-		for i, pt := range env.Shard.Points {
+		pts := env.Shard.Points()
+		res := cluster.ShardResult{Index: env.Shard.Index, Rows: make([]cluster.Row, len(pts))}
+		for i, pt := range pts {
 			res.Rows[i] = chaosRow(pt)
 		}
 		cluster.SignShardResult(&res)
@@ -82,7 +83,7 @@ func testShardJob(t *testing.T, proxyURL string) (cluster.ShardResult, []cluster
 	}
 	body, err := json.Marshal(map[string]any{
 		"kind": "shard", "timeout_ms": 5000,
-		"shard": &cluster.ShardSpec{Grid: grid, Index: 0, Points: points},
+		"shard": &cluster.ShardSpec{Grid: grid, Index: 0, Runs: [][2]int{{0, len(points)}}},
 	})
 	if err != nil {
 		t.Fatal(err)

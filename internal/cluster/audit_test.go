@@ -43,8 +43,9 @@ func lyingIntercept(onFirst func()) func(http.ResponseWriter, *http.Request, *Sh
 				onFirst()
 			}
 		})
-		rows := make([]Row, len(sh.Points))
-		for i, pt := range sh.Points {
+		pts := sh.Points()
+		rows := make([]Row, len(pts))
+		for i, pt := range pts {
 			rows[i] = Row{CSV: fmt.Sprintf("%.9g,%.9g,0.5,0,LIE", pt.Gi, pt.Gd)}
 		}
 		res := ShardResult{Index: sh.Index, Rows: rows}
@@ -239,7 +240,7 @@ func TestDigestFailureIsTransientAndRetried(t *testing.T) {
 		if !corruptOnce.CompareAndSwap(false, true) {
 			return false
 		}
-		res := ShardResult{Index: sh.Index, Rows: fakeRows(sh.Points)}
+		res := ShardResult{Index: sh.Index, Rows: fakeRows(sh.Points())}
 		SignShardResult(&res)
 		res.Digest = strings.Repeat("0", 64) // in-flight corruption
 		raw, _ := json.Marshal(shardArtifact{Key: "k", Kind: "shard", Shard: &res})
@@ -317,7 +318,7 @@ func TestCloseAbortsBackoffMidWait(t *testing.T) {
 // a row is counted, re-executed, and overwritten — never resurrected.
 func TestScanJournalHealsInvalidRows(t *testing.T) {
 	grid := testGrid(4) // 16 points, 4 shards at size 4
-	fp, _, shards, err := PlanShards(grid, 4)
+	fp, points, shards, err := PlanShards(grid, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestScanJournalHealsInvalidRows(t *testing.T) {
 	}
 	// Shard 0: fully journaled and sealed — pure replay.
 	for i, key := range shards[0].Keys {
-		j.put(key, marshal(fakeRow(shards[0].Points[i])))
+		j.put(key, marshal(fakeRow(points[shards[0].GridIdx[i]])))
 	}
 	j.put(DoneKey(fp, shards[0].Index), []byte(`{"index":0,"points":4}`))
 	// Shard 1: sealed, but one record decodes to an empty row (written by
@@ -339,7 +340,7 @@ func TestScanJournalHealsInvalidRows(t *testing.T) {
 	// re-validation must not.
 	j.put(shards[1].Keys[0], []byte(`{"bogus":true}`))
 	for i := 1; i < len(shards[1].Keys); i++ {
-		j.put(shards[1].Keys[i], marshal(fakeRow(shards[1].Points[i])))
+		j.put(shards[1].Keys[i], marshal(fakeRow(points[shards[1].GridIdx[i]])))
 	}
 	j.put(DoneKey(fp, shards[1].Index), []byte(`{"index":1,"points":4}`))
 

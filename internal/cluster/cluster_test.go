@@ -111,19 +111,20 @@ func (f *fakeWorker) URL() string { return f.ts.URL }
 
 func (f *fakeWorker) handleJob(w http.ResponseWriter, r *http.Request) {
 	var env jobEnvelope
-	if err := json.NewDecoder(r.Body).Decode(&env); err != nil || env.Kind != "shard" || env.Shard == nil {
-		http.Error(w, `{"error":"not a shard job"}`, http.StatusBadRequest)
+	if err := json.NewDecoder(r.Body).Decode(&env); err != nil || env.Kind != "shard" || env.Shard == nil || env.Shard.Validate() != nil {
+		http.Error(w, `{"error":"not a valid shard job"}`, http.StatusBadRequest)
 		return
 	}
 	f.requests.Add(1)
 	if f.intercept != nil && f.intercept(w, r, env.Shard) {
 		return
 	}
-	f.evaluated.Add(int64(len(env.Shard.Points)))
+	pts := env.Shard.Points()
+	f.evaluated.Add(int64(len(pts)))
 	f.mu.Lock()
 	f.indexes[env.Shard.Index]++
 	f.mu.Unlock()
-	res := ShardResult{Index: env.Shard.Index, Rows: fakeRows(env.Shard.Points)}
+	res := ShardResult{Index: env.Shard.Index, Rows: fakeRows(pts)}
 	SignShardResult(&res)
 	raw, _ := json.Marshal(shardArtifact{Key: "k", Kind: "shard", Shard: &res})
 	w.Header().Set("Content-Type", "application/json")
@@ -339,7 +340,7 @@ func TestPlanShardsIsDeterministicAndCovering(t *testing.T) {
 	}
 	next := 0
 	for _, sh := range shards {
-		for i := range sh.Points {
+		for i := range sh.GridIdx {
 			if sh.GridIdx[i] != next {
 				t.Fatalf("shard %d covers grid index %d, want %d (grid order)", sh.Index, sh.GridIdx[i], next)
 			}
@@ -358,7 +359,7 @@ func TestPlanShardsIsDeterministicAndCovering(t *testing.T) {
 		t.Fatalf("replan diverged: %v %v", fp2, err)
 	}
 	for i := range shards {
-		if shards2[i].Index != shards[i].Index || len(shards2[i].Points) != len(shards[i].Points) {
+		if shards2[i].Index != shards[i].Index || len(shards2[i].GridIdx) != len(shards[i].GridIdx) {
 			t.Fatalf("replan shard %d diverged", i)
 		}
 	}
@@ -485,8 +486,8 @@ func TestCoordinatorComputesPointKeysOnlyWithJournal(t *testing.T) {
 			if j == nil && sh.Keys != nil {
 				t.Errorf("no journal: shard %d carries %d point keys, want none computed", sh.Index, len(sh.Keys))
 			}
-			if j != nil && len(sh.Keys) != len(sh.Points) {
-				t.Errorf("journal: shard %d carries %d keys for %d points", sh.Index, len(sh.Keys), len(sh.Points))
+			if j != nil && len(sh.Keys) != len(sh.GridIdx) {
+				t.Errorf("journal: shard %d carries %d keys for %d points", sh.Index, len(sh.Keys), len(sh.GridIdx))
 			}
 		}
 		mu.Unlock()
@@ -600,7 +601,7 @@ func TestClusterQuarantinesFailingWorkerAndReassigns(t *testing.T) {
 
 func TestClusterOrphanShardsReExecuteOnlyMissingPoints(t *testing.T) {
 	grid := testGrid(4) // 16 points, 4 shards at size 4
-	fp, _, shards, err := PlanShards(grid, 4)
+	fp, points, shards, err := PlanShards(grid, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,12 +617,12 @@ func TestClusterOrphanShardsReExecuteOnlyMissingPoints(t *testing.T) {
 	// coordinator died between the last row and the seal) — orphan,
 	// re-sealed without re-execution.
 	for i, key := range shards[0].Keys {
-		j.put(key, marshal(fakeRow(shards[0].Points[i])))
+		j.put(key, marshal(fakeRow(points[shards[0].GridIdx[i]])))
 	}
 	// Shard 1: two of four rows journaled, no done marker (a worker died
 	// mid-shard) — orphan, only the missing half re-executes.
 	for i := 0; i < 2; i++ {
-		j.put(shards[1].Keys[i], marshal(fakeRow(shards[1].Points[i])))
+		j.put(shards[1].Keys[i], marshal(fakeRow(points[shards[1].GridIdx[i]])))
 	}
 	// A done marker from a different grid: counted as stray, ignored.
 	strayFP := strings.Repeat("0", 64)

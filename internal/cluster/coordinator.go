@@ -19,15 +19,20 @@ import (
 	"bcnphase/internal/telemetry"
 )
 
-// DefaultShardSize is the default points-per-shard granularity. Small
-// enough that losing a worker mid-shard forfeits little work and
-// stragglers are steal-able. Per-dispatch cost is not negligible at
-// this size: a 32-point shard's wire work (job spec, artifact decode,
-// row digests) costs about as much CPU as its solves, so larger shards
-// raise throughput (on 32×32 grids over three one-slot loopback
-// workers, 64- and 128-point shards gave about 15% and 27% more
-// points/s) at the price of coarser re-execution and stealing.
-const DefaultShardSize = 32
+// DefaultShardSize is the default points-per-shard granularity. Every
+// shard pays a fixed cost on top of its solves (the job request, its
+// dedup key, the HTTP exchange, the artifact's decode and digests, and
+// an audit's second copy of all of it), so larger shards buy
+// throughput. On 32×32 grids over three one-slot loopback workers with
+// a quarter of shards audited (verdictbench sweep-cluster, 2-core Xeon,
+// index-run wire, two alternating 20 s runs per size), 32-, 64-, 128-
+// and 256-point shards gave about 116k, 147k, 153k and 158k points/s:
+// the curve flattens past 64. The price is granularity: a retried,
+// stolen, revoked or audited shard re-runs all of its points.
+// At 128 a 32×32 grid has 8 shards, at least 2 per worker of three,
+// and one retry or audit re-runs an eighth of the grid; at 256 it
+// would have 4 shards for three workers and re-run a quarter.
+const DefaultShardSize = 128
 
 // Journal is the coordinator's durable store: the merged rows and
 // shard done markers live here. runstate.Journal satisfies it (and its
@@ -454,7 +459,6 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 			for k, key := range sh.Keys {
 				raw, ok := j.Lookup(key)
 				if !ok {
-					missing.Points = append(missing.Points, sh.Points[k])
 					missing.GridIdx = append(missing.GridIdx, sh.GridIdx[k])
 					missing.Keys = append(missing.Keys, key)
 					continue
@@ -466,7 +470,6 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 					// rather than resurrected — same contract as
 					// sweep.RunCheckpointed, now with a series saying so.
 					c.m.InvalidRows.Inc()
-					missing.Points = append(missing.Points, sh.Points[k])
 					missing.GridIdx = append(missing.GridIdx, sh.GridIdx[k])
 					missing.Keys = append(missing.Keys, key)
 					continue
@@ -482,9 +485,9 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 		if j != nil {
 			_, done = j.Lookup(DoneKey(fp, sh.Index))
 		}
-		replayedHere := len(sh.Points) - len(missing.Points)
+		replayedHere := len(sh.GridIdx) - len(missing.GridIdx)
 		switch {
-		case done && len(missing.Points) == 0:
+		case done && len(missing.GridIdx) == 0:
 			// Complete: fully replayed.
 		case !done && replayedHere == 0 && j != nil:
 			// Fresh (never started).
@@ -497,7 +500,7 @@ func (c *Coordinator) scanJournal(fp string, shards []Shard, st *sweepState) (pe
 			// superseded lines dropped on replay). Either way the shard
 			// is surfaced and re-executed, not silently trusted.
 			orphans++
-			if len(missing.Points) > 0 {
+			if len(missing.GridIdx) > 0 {
 				pending = append(pending, &shardRun{shard: missing})
 			} else {
 				// All rows present, only the marker missing: re-seal.
@@ -829,7 +832,7 @@ func (c *Coordinator) merge(st *sweepState, w int, sr *shardRun, res ShardResult
 	st.pending--
 	st.mu.Unlock()
 	c.m.ShardsDone.Inc()
-	c.logf("worker %s done shard %d (%d points)", c.cfg.Workers[w], sr.shard.Index, len(sr.shard.Points))
+	c.logf("worker %s done shard %d (%d points)", c.cfg.Workers[w], sr.shard.Index, len(sr.shard.GridIdx))
 	if c.cfg.OnShardDone != nil {
 		c.cfg.OnShardDone(c.cfg.Workers[w], sr.shard)
 	}
@@ -851,7 +854,7 @@ func (c *Coordinator) recordDone(fp string, sh Shard) error {
 	if _, ok := j.Lookup(key); ok {
 		return nil
 	}
-	raw, err := json.Marshal(doneMarker{Index: sh.Index, Points: len(sh.Points)})
+	raw, err := json.Marshal(doneMarker{Index: sh.Index, Points: len(sh.GridIdx)})
 	if err != nil {
 		return fmt.Errorf("cluster: encode done marker: %w", err)
 	}
@@ -866,7 +869,7 @@ func (c *Coordinator) recordDone(fp string, sh Shard) error {
 // means "this worker did not complete this shard" — the caller decides
 // whether to re-assign.
 func (c *Coordinator) dispatch(ctx context.Context, st *sweepState, w int, sr *shardRun) (ShardResult, error) {
-	sh := &ShardSpec{Grid: st.grid, Index: sr.shard.Index, Points: sr.shard.Points}
+	sh := &ShardSpec{Grid: st.grid, Index: sr.shard.Index, Runs: indexRuns(sr.shard.GridIdx)}
 	timeoutMs := int64(c.cfg.LeaseTimeout / time.Millisecond * 9 / 10)
 	// Deadline propagation: a sweep running under a client budget caps
 	// each shard's worker-side timeout at the remaining budget minus one
@@ -970,7 +973,7 @@ func (c *Coordinator) postShard(ctx context.Context, w int, sh *ShardSpec, body 
 		return ShardResult{}, 0, fmt.Errorf("cluster: post shard %d to %s: %w", sh.Index, c.cfg.Workers[w], err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxWireBytes+1))
+	raw, err := readWire(resp)
 	if err != nil {
 		return ShardResult{}, 0, fmt.Errorf("cluster: read shard %d response: %w", sh.Index, err)
 	}
@@ -1005,6 +1008,18 @@ func (c *Coordinator) postShard(ctx context.Context, w int, sh *ShardSpec, body 
 		return ShardResult{}, 0, err
 	}
 	return res, 0, nil
+}
+
+// readWire reads a worker's response body through the MaxWireBytes+1
+// limit, into a buffer presized from Content-Length when the worker sent
+// one (with MinRead spare, so reading to EOF does not grow it).
+func readWire(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n >= 0 {
+		buf.Grow(int(min(n, MaxWireBytes)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxWireBytes+1))
+	return buf.Bytes(), err
 }
 
 // heartbeatLoop probes every worker's /statusz on the configured
@@ -1053,7 +1068,7 @@ func (c *Coordinator) probe(w int) (WorkerStatus, error) {
 		return WorkerStatus{}, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxWireBytes+1))
+	raw, err := readWire(resp)
 	if err != nil {
 		return WorkerStatus{}, err
 	}

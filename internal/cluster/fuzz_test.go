@@ -49,15 +49,14 @@ func FuzzDecodeSweepRequest(f *testing.F) {
 		}
 		total := 0
 		for _, sh := range shards {
-			if len(sh.Points) == 0 || len(sh.Points) != len(sh.Keys) || len(sh.Points) != len(sh.GridIdx) {
-				t.Fatalf("malformed shard %d: %d points, %d keys, %d indices",
-					sh.Index, len(sh.Points), len(sh.Keys), len(sh.GridIdx))
+			if len(sh.GridIdx) == 0 || len(sh.GridIdx) != len(sh.Keys) {
+				t.Fatalf("malformed shard %d: %d keys, %d indices", sh.Index, len(sh.Keys), len(sh.GridIdx))
 			}
-			spec := &ShardSpec{Grid: g, Index: sh.Index, Points: sh.Points}
+			spec := &ShardSpec{Grid: g, Index: sh.Index, Runs: indexRuns(sh.GridIdx)}
 			if err := spec.Validate(); err != nil {
 				t.Fatalf("planned shard %d fails its own wire validation: %v", sh.Index, err)
 			}
-			total += len(sh.Points)
+			total += len(sh.GridIdx)
 		}
 		if total != len(points) {
 			t.Fatalf("shards cover %d of %d points", total, len(points))
@@ -84,9 +83,9 @@ func FuzzDecodeShardArtifact(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	want := &ShardSpec{
-		Grid:   GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 2},
-		Index:  0,
-		Points: []GainPoint{{Gi: 0.05, Gd: 0.001}, {Gi: 0.05, Gd: 0.1}},
+		Grid:  GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 2},
+		Index: 0,
+		Runs:  [][2]int{{0, 2}},
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		res, err := DecodeShardArtifact(raw, want)
@@ -96,7 +95,7 @@ func FuzzDecodeShardArtifact(f *testing.F) {
 			}
 			return
 		}
-		if res.Index != want.Index || len(res.Rows) != len(want.Points) {
+		if res.Index != want.Index || len(res.Rows) != want.Size() {
 			t.Fatalf("accepted result does not match assignment: %+v", res)
 		}
 		for i, r := range res.Rows {

@@ -131,22 +131,35 @@ func (g GainGrid) Base() core.Params {
 
 // Points enumerates the grid in row-major order (all Gd values for the
 // first Gi, then the next Gi) — the order map.csv rows appear in.
-// Each axis value is computed once: the first row's Gd values are
-// reused by every later row.
 func (g GainGrid) Points() []GainPoint {
-	n := g.Steps
-	pts := make([]GainPoint, n*n)
-	for j := 0; j < n; j++ {
-		pts[j].Gd = geomAt(g.GdLo, g.GdHi, j, n)
-	}
-	for i := 0; i < n; i++ {
-		gi := geomAt(g.GiLo, g.GiHi, i, n)
-		row := pts[i*n : (i+1)*n]
-		for j := range row {
-			row[j] = GainPoint{Gi: gi, Gd: pts[j].Gd}
+	n := g.Steps * g.Steps
+	return g.appendPoints(make([]GainPoint, 0, n), 0, n)
+}
+
+// appendPoints appends the points of grid indices [lo, hi) to dst in
+// row-major order. It is the one index → point derivation: Points and
+// a worker expanding a shard's runs (ShardSpec.Points) both call it,
+// so a point's bits never depend on which side derived it. Each axis
+// value is computed by geomAt; within one call, a Gi is reused along
+// its row and a Gd from the point one row up.
+func (g GainGrid) appendPoints(dst []GainPoint, lo, hi int) []GainPoint {
+	n, start := g.Steps, len(dst)
+	for k := lo; k < hi; k++ {
+		i, j := k/n, k%n
+		var pt GainPoint
+		if k > lo && j > 0 {
+			pt.Gi = dst[len(dst)-1].Gi
+		} else {
+			pt.Gi = geomAt(g.GiLo, g.GiHi, i, n)
 		}
+		if k-lo >= n {
+			pt.Gd = dst[start+k-lo-n].Gd
+		} else {
+			pt.Gd = geomAt(g.GdLo, g.GdHi, j, n)
+		}
+		dst = append(dst, pt)
 	}
-	return pts
+	return dst
 }
 
 // Fingerprint is the grid's identity hash: the root of every point and

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -77,5 +78,60 @@ func TestEvalRecordMatchesOffWhenClean(t *testing.T) {
 	}
 	if clean == 0 {
 		t.Fatal("no clean record-policy row to compare")
+	}
+}
+
+// TestShardPointsMatchGridBitForBit: a worker expanding a shard's index
+// runs derives exactly the bits the coordinator's GainGrid.Points
+// enumerates, for every index alone and for multi-run specs whose runs
+// start mid-row, span rows and leave holes.
+func TestShardPointsMatchGridBitForBit(t *testing.T) {
+	for _, steps := range []int{2, 3, 17, 32, 64} {
+		g := testGrid(steps)
+		want := g.Points()
+		n := len(want)
+		check := func(runs [][2]int) {
+			t.Helper()
+			spec := ShardSpec{Grid: g, Runs: runs}
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("steps %d runs %v: %v", steps, runs, err)
+			}
+			got := spec.Points()
+			if len(got) != spec.Size() {
+				t.Fatalf("steps %d runs %v: %d points for size %d", steps, runs, len(got), spec.Size())
+			}
+			k := 0
+			for _, r := range runs {
+				for idx := r[0]; idx < r[1]; idx++ {
+					if math.Float64bits(got[k].Gi) != math.Float64bits(want[idx].Gi) ||
+						math.Float64bits(got[k].Gd) != math.Float64bits(want[idx].Gd) {
+						t.Fatalf("steps %d runs %v: index %d derived %+v, grid has %+v", steps, runs, idx, got[k], want[idx])
+					}
+					k++
+				}
+			}
+		}
+		for k := 0; k < n; k++ {
+			check([][2]int{{k, k + 1}})
+		}
+		// Multi-run specs: runs shorter than, as long as and longer than a
+		// row, one index apart, tiling the grid from offsets 0 and 1 (so
+		// every index is in some run) and from a run's length.
+		for _, length := range []int{1, 2, 3, steps - 1, steps, steps + 1, 2*steps + 1} {
+			for _, off := range []int{0, 1, length} {
+				var runs [][2]int
+				size := 0
+				for lo := off; lo < n; lo += length + 1 {
+					runs = append(runs, [2]int{lo, min(lo+length, n)})
+					if size += length; size > MaxShardPoints-length {
+						check(runs)
+						runs, size = nil, 0
+					}
+				}
+				if runs != nil {
+					check(runs)
+				}
+			}
+		}
 	}
 }

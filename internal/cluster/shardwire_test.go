@@ -2,10 +2,13 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bcnphase/internal/cluster"
@@ -26,7 +29,7 @@ func servedShard(tb testing.TB, grid cluster.GainGrid, index, n int) (*cluster.S
 	if err != nil {
 		tb.Fatal(err)
 	}
-	spec := &cluster.ShardSpec{Grid: grid, Index: index, Points: grid.Points()[:n]}
+	spec := &cluster.ShardSpec{Grid: grid, Index: index, Runs: [][2]int{{0, n}}}
 	body, err := cluster.EncodeShardJob(spec, 0)
 	if err != nil {
 		tb.Fatal(err)
@@ -183,5 +186,121 @@ func BenchmarkShardWire(b *testing.B) {
 			b.ReportMetric(ns, "ns/point")
 			b.ReportMetric(allocs/float64(points), "allocs/point")
 		})
+	}
+}
+
+// mapJournal is an in-memory cluster.Journal.
+type mapJournal struct {
+	mu sync.Mutex
+	m  map[string][]byte
+}
+
+func (j *mapJournal) Lookup(key string) ([]byte, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	v, ok := j.m[key]
+	return v, ok
+}
+
+func (j *mapJournal) Record(key string, val []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.m[key] = append([]byte(nil), val...)
+	return nil
+}
+
+// TestResumeWithHolesDispatchesMissingRuns: a journal holding rows for
+// a non-contiguous subset of one shard (and no done marker) makes the
+// coordinator dispatch that shard as the runs of its missing indices;
+// a real job server evaluates exactly those points, and the merged map
+// is byte-identical to a clean run and to direct evaluation.
+func TestResumeWithHolesDispatchesMissingRuns(t *testing.T) {
+	grid := wireGrid(5, "record")
+	grid.Steps = 8 // 64 points, 4 shards of 16
+	const size = 16
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var sent []cluster.ShardSpec
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		var env struct {
+			Shard *cluster.ShardSpec `json:"shard"`
+		}
+		if json.Unmarshal(body, &env) == nil && env.Shard != nil {
+			mu.Lock()
+			sent = append(sent, *env.Shard)
+			mu.Unlock()
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	run := func(j *mapJournal) *cluster.Output {
+		t.Helper()
+		c, err := cluster.New(cluster.Config{Workers: []string{ts.URL}, ShardSize: size, Journal: j, HeartbeatInterval: -1, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		out, err := c.Run(context.Background(), grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	full := &mapJournal{m: map[string][]byte{}}
+	clean := run(full)
+	rows := make([]cluster.Row, 64)
+	if err := grid.EvalBatch(context.Background(), grid.Points(), rows, cluster.EvalMetrics{}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(clean.CSV, cluster.RenderCSV(rows)) {
+		t.Fatal("clean cluster map differs from direct evaluation")
+	}
+
+	// Every shard but 1 is journaled whole and sealed; shard 1 keeps the
+	// rows at 7 scattered positions and no done marker.
+	fp, _, shards, err := cluster.PlanShards(grid, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holes := &mapJournal{m: map[string][]byte{}}
+	kept := map[int]bool{0: true, 1: true, 4: true, 5: true, 6: true, 11: true, 15: true}
+	for _, sh := range shards {
+		for i, key := range sh.Keys {
+			if raw, ok := full.Lookup(key); ok && (sh.Index != 1 || kept[i]) {
+				holes.Record(key, raw)
+			}
+		}
+		if done := cluster.DoneKey(fp, sh.Index); sh.Index != 1 {
+			raw, _ := full.Lookup(done)
+			holes.Record(done, raw)
+		}
+	}
+	mu.Lock()
+	sent = nil
+	mu.Unlock()
+	resumed := run(holes)
+	if !bytes.Equal(resumed.CSV, clean.CSV) {
+		t.Error("resumed map differs from the clean run")
+	}
+	if resumed.Fresh != 9 || resumed.Replayed != 55 || resumed.OrphanShards != 1 {
+		t.Errorf("resume = %d fresh, %d replayed, %d orphans; want 9, 55, 1", resumed.Fresh, resumed.Replayed, resumed.OrphanShards)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := [][2]int{{18, 20}, {23, 27}, {28, 31}}
+	if len(sent) != 1 || sent[0].Index != 1 || !reflect.DeepEqual(sent[0].Runs, want) {
+		t.Fatalf("resume dispatched %+v, want only shard 1 with runs %v", sent, want)
+	}
+	if n := sent[0].Size(); n != 9 {
+		t.Errorf("worker evaluated %d points, want the 9 missing", n)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
 
@@ -27,16 +26,29 @@ const MaxWireBytes = 4 << 20
 // the base parameters) so the shard's dedup key pins the full sweep
 // identity, and Index makes two different chunks of the same grid
 // distinct artifacts.
+//
+// The points travel as grid indices, not floats: Runs holds sorted,
+// non-overlapping, non-adjacent half-open runs [lo, hi) of indices into
+// the grid's row-major enumeration — the one canonical spelling of an
+// index set. A fresh shard is one run; a resumed shard holding only
+// its missing points may have several. The worker derives each point
+// with the same code GainGrid.Points runs (ShardSpec.Points).
 type ShardSpec struct {
-	Grid   GainGrid    `json:"grid"`
-	Index  int         `json:"index"`
-	Points []GainPoint `json:"points"`
+	Grid  GainGrid `json:"grid"`
+	Index int      `json:"index"`
+	Runs  [][2]int `json:"runs"`
+	// LegacyPoints catches the float point list coordinators sent
+	// before index runs, only so Validate can refuse it by name.
+	LegacyPoints json.RawMessage `json:"points,omitempty"`
 }
 
 // Validate checks a shard assignment's feasibility.
 func (s *ShardSpec) Validate() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: shard: %s", ErrWire, fmt.Sprintf(format, args...))
+	}
+	if s.LegacyPoints != nil {
+		return fail(`legacy "points" list refused: the shard wire format carries grid index "runs"; upgrade coordinators and workers together`)
 	}
 	if err := s.Grid.Validate(); err != nil {
 		return fmt.Errorf("%w: shard: %v", ErrWire, err)
@@ -47,17 +59,55 @@ func (s *ShardSpec) Validate() error {
 	if s.Index < 0 {
 		return fail("index=%d must be non-negative", s.Index)
 	}
-	if len(s.Points) == 0 || len(s.Points) > MaxShardPoints {
-		return fail("%d points, want 1..%d", len(s.Points), MaxShardPoints)
+	if len(s.Runs) == 0 {
+		return fail("no index runs")
 	}
-	for i, pt := range s.Points {
-		for _, v := range []float64{pt.Gi, pt.Gd} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				return fail("point %d gain %v must be positive and finite", i, v)
-			}
+	// Each run must start past the previous run's end (sorted,
+	// non-overlapping, non-adjacent) and end inside the grid.
+	prev, n := -1, s.Grid.Steps*s.Grid.Steps
+	for i, r := range s.Runs {
+		if r[0] <= prev || r[0] >= r[1] || r[1] > n {
+			return fail("run %d [%d, %d) is not a canonical index run of a %d-point grid", i, r[0], r[1], n)
 		}
+		prev = r[1]
+	}
+	if size := s.Size(); size > MaxShardPoints {
+		return fail("%d points, want 1..%d", size, MaxShardPoints)
 	}
 	return nil
+}
+
+// Size is the number of points the shard's runs cover.
+func (s *ShardSpec) Size() int {
+	n := 0
+	for _, r := range s.Runs {
+		n += r[1] - r[0]
+	}
+	return n
+}
+
+// Points derives the shard's points in run order. The spec must have
+// passed Validate.
+func (s *ShardSpec) Points() []GainPoint {
+	pts := make([]GainPoint, 0, s.Size())
+	for _, r := range s.Runs {
+		pts = s.Grid.appendPoints(pts, r[0], r[1])
+	}
+	return pts
+}
+
+// indexRuns spells a strictly increasing index list as its canonical
+// runs.
+func indexRuns(idx []int) [][2]int {
+	var runs [][2]int
+	for _, k := range idx {
+		if n := len(runs); n > 0 && runs[n-1][1] == k {
+			runs[n-1][1]++
+		} else {
+			runs = append(runs, [2]int{k, k + 1})
+		}
+	}
+	return runs
 }
 
 // ShardResult is the worker → coordinator result envelope: one Row per
@@ -75,14 +125,14 @@ type ShardResult struct {
 }
 
 // Shard is one planned unit of distribution: a grid-order chunk of
-// points with their global grid indices and journal keys.
+// global grid indices with their journal keys.
 type Shard struct {
-	Index  int
-	Points []GainPoint
-	// GridIdx[i] is Points[i]'s position in the full grid enumeration.
+	Index int
+	// GridIdx lists the shard's positions in the full grid enumeration,
+	// strictly increasing.
 	GridIdx []int
-	// Keys[i] is Points[i]'s journal key; nil when the coordinator
-	// runs without a journal.
+	// Keys[i] is the journal key of the point at GridIdx[i]; nil when
+	// the coordinator runs without a journal.
 	Keys []string
 }
 
@@ -130,11 +180,7 @@ func planShards(grid GainGrid, size int, keys bool) (fingerprint string, points 
 		if hi > len(points) {
 			hi = len(points)
 		}
-		sh := Shard{
-			Index:   len(shards),
-			Points:  points[lo:hi:hi],
-			GridIdx: make([]int, 0, hi-lo),
-		}
+		sh := Shard{Index: len(shards), GridIdx: make([]int, 0, hi-lo)}
 		if keys {
 			sh.Keys = make([]string, 0, hi-lo)
 		}
@@ -220,11 +266,11 @@ func DecodeShardArtifact(raw []byte, want *ShardSpec) (ShardResult, error) {
 	if int64(len(raw)) > MaxWireBytes {
 		return ShardResult{}, fmt.Errorf("%w: artifact of %d bytes exceeds cap", ErrWire, len(raw))
 	}
-	rowsHint := 0
+	assigned := 0
 	if want != nil {
-		rowsHint = len(want.Points)
+		assigned = want.Size()
 	}
-	res, ok := readShardArtifact(raw, rowsHint)
+	res, ok := readShardArtifact(raw, assigned)
 	if !ok {
 		var art shardArtifact
 		if err := json.Unmarshal(raw, &art); err != nil {
@@ -239,8 +285,8 @@ func DecodeShardArtifact(raw []byte, want *ShardSpec) (ShardResult, error) {
 		if res.Index != want.Index {
 			return ShardResult{}, fmt.Errorf("%w: shard result index %d answers assignment %d", ErrWire, res.Index, want.Index)
 		}
-		if len(res.Rows) != len(want.Points) {
-			return ShardResult{}, fmt.Errorf("%w: shard result has %d rows for %d assigned points", ErrWire, len(res.Rows), len(want.Points))
+		if len(res.Rows) != assigned {
+			return ShardResult{}, fmt.Errorf("%w: shard result has %d rows for %d assigned points", ErrWire, len(res.Rows), assigned)
 		}
 	}
 	for i := range res.Rows {

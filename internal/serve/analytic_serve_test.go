@@ -39,7 +39,7 @@ func TestSpecRejectsBadAnalytic(t *testing.T) {
 	if _, err := DecodeSpec(strings.NewReader(body), 0); err == nil {
 		t.Error("decode accepted a bogus analytic mode")
 	}
-	shard := `{"kind":"shard","analytic":"on","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"points":[{"gi":0.05,"gd":0.001}]}}`
+	shard := `{"kind":"shard","analytic":"on","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"runs":[[0,1]]}}`
 	if _, err := DecodeSpec(strings.NewReader(shard), 0); err != nil {
 		t.Errorf("decode rejected a legacy analytic mode on a shard job: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestRunSweepRecordMatchesOff(t *testing.T) {
 func TestRunShardUsesGridEngine(t *testing.T) {
 	grid := cluster.GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 1, GdLo: 0.001, GdHi: 0.1, Steps: 3}
 	pts := grid.Points()[:4]
-	res, err := runShard(context.Background(), &cluster.ShardSpec{Grid: grid, Points: pts}, newJobMetrics(nil))
+	res, err := runShard(context.Background(), &cluster.ShardSpec{Grid: grid, Runs: [][2]int{{0, 4}}}, newJobMetrics(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"bcnphase/internal/cluster"
 )
 
 func newBenchServer(b *testing.B, cfg Config) (*Server, *httptest.Server) {
@@ -89,4 +91,39 @@ func BenchmarkStatusSnapshot(b *testing.B) {
 			b.Fatalf("accepted = %d", st.Accepted)
 		}
 	}
+}
+
+var requestSink string
+
+// BenchmarkShardRequest times a shard job's request path at the
+// default shard size: the coordinator encoding it (EncodeShardJob), the
+// worker decoding and validating it (DecodeSpec) and deriving its dedup
+// key (Spec.Key). Units follow the bench ladder: points/s, ns and
+// allocs per point.
+func BenchmarkShardRequest(b *testing.B) {
+	grid := cluster.GainGrid{BOverQ0: 5, GiLo: 0.05, GiHi: 12.8, GdLo: 1.0 / 1024, GdHi: 0.5, Steps: 32}
+	shard := &cluster.ShardSpec{Grid: grid, Index: 3, Runs: [][2]int{{3 * cluster.DefaultShardSize, 4 * cluster.DefaultShardSize}}}
+	points := shard.Size()
+	op := func() {
+		body, err := cluster.EncodeShardJob(shard, 27000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sp, err := DecodeSpec(bytes.NewReader(body), DefaultMaxBodyBytes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if requestSink, err = sp.Key(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, op)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*points)
+	b.ReportMetric(1e9/ns, "points/s")
+	b.ReportMetric(ns, "ns/point")
+	b.ReportMetric(allocs/float64(points), "allocs/point")
 }

@@ -295,7 +295,7 @@ const execBatchSize = 64
 // re-assigns it.
 func runShard(ctx context.Context, s *cluster.ShardSpec, jm jobMetrics) (*cluster.ShardResult, error) {
 	em := cluster.EvalMetrics{Solve: jm.solve, Analytic: jm.analytic}
-	results, _ := sweep.RunBatched(ctx, s.Points, execBatchSize,
+	results, _ := sweep.RunBatched(ctx, s.Points(), execBatchSize,
 		func(ctx context.Context, pts []cluster.GainPoint, out []cluster.Row) error {
 			return s.Grid.EvalBatch(ctx, pts, out, em)
 		}, sweep.Options{Workers: 2, ContinueOnError: true, Metrics: jm.sweep})

@@ -43,6 +43,18 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"kind":"shard","invariants":"record","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":2},"index":0,"points":[{"gi":0.05,"gd":0.001}]}}`,
 		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":2},"index":-1,"points":[{"gi":0.05,"gd":0.001}]}}`,
 		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":2},"index":0,"points":[]}}`,
+		// The shard wire format: canonical grid index runs, one for a fresh
+		// shard, several for a resumed one with holes; then its rejects
+		// (empty, unsorted, overlapping, adjacent, outside the grid) and a
+		// run list next to a legacy point list.
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":2},"index":0,"runs":[[0,4]]}}`,
+		`{"kind":"shard","timeout_ms":900,"shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3,"invariants":"record"},"index":2,"runs":[[0,2],[3,4],[7,9]]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[4,5],[0,1]]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[0,3],[2,5]]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[0,2],[2,4]]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[-1,2],[8,10]]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":2},"index":0,"runs":[[0,1]],"points":[{"gi":0.05,"gd":0.001}]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

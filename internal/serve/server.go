@@ -690,6 +690,9 @@ func (s *Server) serveArtifact(w http.ResponseWriter, key string, raw []byte, ca
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Job-Key", key)
 	w.Header().Set("X-Cache", cacheState)
+	// A known length lets the body go out unchunked and lets the reader
+	// size its buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(raw)
 }

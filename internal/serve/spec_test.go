@@ -2,10 +2,13 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"bcnphase/internal/cluster"
 	"bcnphase/internal/core"
 	"bcnphase/internal/faults"
 )
@@ -162,5 +165,55 @@ func TestNetsimSpecDefaults(t *testing.T) {
 	withFaults.Netsim.Faults = &faults.Config{Seed: 7, FeedbackLoss: 0.2}
 	if err := withFaults.Validate(); err != nil {
 		t.Errorf("faulted netsim spec rejected: %v", err)
+	}
+}
+
+// TestShardWireRejects: a shard job names its points as canonical grid
+// index runs, and everything else is a 400 wrapping ErrSpec, the
+// pre-runs float point list included (by name, so an operator running
+// a mixed-version fleet sees why).
+func TestShardWireRejects(t *testing.T) {
+	shard := func(steps int, tail string) string {
+		return fmt.Sprintf(`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":%d},"index":0%s}}`, steps, tail)
+	}
+	legacy := shard(2, `,"points":[{"gi":0.05,"gd":0.001},{"gi":0.05,"gd":0.1}]`)
+	cases := map[string]string{
+		"no runs":           shard(3, ``),
+		"null runs":         shard(3, `,"runs":null`),
+		"empty runs":        shard(3, `,"runs":[]`),
+		"empty run":         shard(3, `,"runs":[[2,2]]`),
+		"reversed run":      shard(3, `,"runs":[[3,1]]`),
+		"unsorted":          shard(3, `,"runs":[[4,5],[0,1]]`),
+		"overlapping":       shard(3, `,"runs":[[0,3],[2,5]]`),
+		"adjacent":          shard(3, `,"runs":[[0,2],[2,4]]`),
+		"negative index":    shard(3, `,"runs":[[-1,2]]`),
+		"past the grid":     shard(3, `,"runs":[[0,10]]`),
+		"past the grid end": shard(3, `,"runs":[[0,2],[9,10]]`),
+		"too many points":   shard(64, fmt.Sprintf(`,"runs":[[0,%d]]`, cluster.MaxShardPoints+1)),
+		"runs and points":   shard(2, `,"runs":[[0,1]],"points":[{"gi":0.05,"gd":0.001}]`),
+		"legacy points":     legacy,
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for name, body := range cases {
+		_, err := DecodeSpec(strings.NewReader(body), 0)
+		if !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: decode error %v does not wrap ErrSpec", name, err)
+		}
+		if resp := postSpec(t, ts.URL, []byte(body)); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if _, err := DecodeSpec(strings.NewReader(legacy), 0); err == nil || !strings.Contains(err.Error(), `shard wire format carries grid index "runs"`) {
+		t.Errorf("legacy points spec refused without naming the wire format: %v", err)
+	}
+	for name, body := range map[string]string{
+		"one run":        shard(3, `,"runs":[[0,9]]`),
+		"holes":          shard(3, `,"runs":[[0,2],[3,4],[7,9]]`),
+		"most points":    shard(64, fmt.Sprintf(`,"runs":[[0,%d]]`, cluster.MaxShardPoints)),
+		"last grid cell": shard(64, `,"runs":[[4095,4096]]`),
+	} {
+		if _, err := DecodeSpec(strings.NewReader(body), 0); err != nil {
+			t.Errorf("%s: valid shard spec rejected: %v", name, err)
+		}
 	}
 }
