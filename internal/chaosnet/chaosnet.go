@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"bcnphase/internal/cluster"
+	"bcnphase/internal/seeded"
 )
 
 // ErrConfig marks an invalid proxy configuration.
@@ -124,7 +124,7 @@ type Proxy struct {
 
 	// One locked stream per fault dimension (faults.Plan discipline,
 	// made concurrency-safe for the HTTP handler).
-	stall, reset, truncate, flip, byz, pick, jitter *stream
+	stall, reset, truncate, flip, byz, pick, jitter *seeded.Locked
 
 	partitioned atomic.Bool
 	shedLeft    atomic.Int64
@@ -181,15 +181,17 @@ func New(cfg Config) (*Proxy, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
+	// Streams derive from (seed, id) exactly as internal/faults does.
+	newStream := func(id int64) *seeded.Locked { return seeded.NewLocked(seeded.Seed(seed, id)) }
 	p := &Proxy{
 		cfg: cfg, target: target, client: client,
-		stall:    newStream(seed, 1),
-		reset:    newStream(seed, 2),
-		truncate: newStream(seed, 3),
-		flip:     newStream(seed, 4),
-		byz:      newStream(seed, 5),
-		pick:     newStream(seed, 6),
-		jitter:   newStream(seed, 7),
+		stall:    newStream(1),
+		reset:    newStream(2),
+		truncate: newStream(3),
+		flip:     newStream(4),
+		byz:      newStream(5),
+		pick:     newStream(6),
+		jitter:   newStream(7),
 	}
 	p.shedLeft.Store(int64(cfg.ShedFirst))
 	return p, nil
@@ -459,35 +461,3 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 	fmt.Fprintf(p.cfg.Log, "chaosnet: "+format+"\n", args...)
 }
-
-// stream is one locked fault-dimension RNG, derived from (seed, id) by
-// the same splitmix64 scramble internal/faults uses.
-type stream struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newStream(seed, id int64) *stream {
-	z := uint64(seed) + uint64(id)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return &stream{rng: rand.New(rand.NewSource(int64(z)))}
-}
-
-func (s *stream) Float64() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rng.Float64()
-}
-
-func (s *stream) Int63n(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rng.Int63n(n)
-}
-
-func (s *stream) Intn(n int) int { return int(s.Int63n(int64(n))) }

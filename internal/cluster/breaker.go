@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"bcnphase/internal/telemetry"
+	"bcnphase/internal/qos"
 )
 
 // Breaker state encoding for the cluster_worker_breaker_state gauge.
@@ -15,67 +15,44 @@ const (
 	breakerQuarantined = 3.0
 )
 
-// workerBreaker is a per-worker circuit breaker over shard dispatch
-// outcomes — the PR 4 breaker shape (consecutive-failure threshold,
-// cooldown quarantine, single half-open probe) applied to workers
-// instead of parameter regions. A flapping worker is quarantined: the
-// coordinator stops routing shards to it, lets the other workers steal
-// its queue, and probes it once per cooldown instead of hammering a
-// node that is already failing — damping, not amplifying, the retry
-// loop.
+var breakerGauge = map[string]float64{"closed": breakerClosed, "half-open": breakerHalfOpen, "open": breakerOpen}
+
+// workerBreaker is the per-worker circuit breaker over shard dispatch
+// outcomes: qos.Breaker keyed by worker index, plus quarantine. A
+// flapping worker is opened: the coordinator stops routing shards to
+// it, lets the other workers steal its queue, and probes it once per
+// cooldown instead of hammering a node that is already failing —
+// damping, not amplifying, the retry loop.
 type workerBreaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-	names     []string
-	states    []breakerState
-
-	transitions *telemetry.CounterVec
-	stateGauge  *telemetry.GaugeVec
-}
-
-type breakerState struct {
-	consecutive int
-	openUntil   time.Time
-	probing     bool
-	trips       uint64
-	// quarantined is the audit verdict: the worker was outvoted in a
-	// result-integrity quorum. Unlike an open breaker it never half-opens
-	// — wrong answers are a correctness problem, not a load problem, and
-	// only an operator restart clears it.
-	quarantined bool
+	// mu orders quarantine against the breaker's own transitions, so a
+	// quarantined worker's gauge is never overwritten by a late probe.
+	mu          sync.Mutex
+	br          *qos.Breaker[int]
+	names       []string
+	quarantined []bool
+	m           *Metrics
 }
 
 // WorkerBreakerStatus is one worker's breaker snapshot for /statusz.
+// State is "closed", "open", "half-open" or "quarantined".
 type WorkerBreakerStatus struct {
-	Worker      string `json:"worker"`
-	State       string `json:"state"` // "closed", "open", "half-open", "quarantined"
-	Consecutive int    `json:"consecutive_failures"`
-	Trips       uint64 `json:"trips"`
-	// RetryAfterSec is the remaining cooldown for an open worker.
-	RetryAfterSec int64 `json:"retry_after_sec,omitempty"`
+	Worker string `json:"worker"`
+	qos.BreakerStatus
 }
 
 // newWorkerBreaker builds a breaker for the named workers. threshold
-// <= 0 disables tripping (Allow always true); now == nil uses time.Now.
+// <= 0 disables tripping (Allow always true) but not quarantine;
+// now == nil uses time.Now.
 func newWorkerBreaker(names []string, threshold int, cooldown time.Duration, now func() time.Time, m *Metrics) *workerBreaker {
-	if now == nil {
-		now = time.Now
-	}
-	b := &workerBreaker{
-		threshold:   threshold,
-		cooldown:    cooldown,
-		now:         now,
-		names:       names,
-		states:      make([]breakerState, len(names)),
-		transitions: m.BreakerTransitions,
-		stateGauge:  m.BreakerState,
-	}
+	b := &workerBreaker{names: names, quarantined: make([]bool, len(names)), m: m}
+	b.br = qos.NewBreaker(threshold, cooldown, now, func(w int, to string) {
+		m.BreakerTransitions.With(to).Inc()
+		m.BreakerState.With(names[w]).Set(breakerGauge[to])
+	})
 	// Every worker's state series exists from startup, so a dashboard
 	// sees "closed" rather than an absent series before the first trip.
 	for _, name := range names {
-		b.stateGauge.With(name).Set(breakerClosed)
+		m.BreakerState.With(name).Set(breakerClosed)
 	}
 	return b
 }
@@ -86,28 +63,12 @@ func newWorkerBreaker(names []string, threshold int, cooldown time.Duration, now
 func (b *workerBreaker) Allow(w int) (ok bool, retryAfter time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined {
+	if b.quarantined[w] {
 		// Quarantine outranks everything, including a disabled breaker:
 		// it is an integrity verdict, not load management.
 		return false, time.Hour
 	}
-	if b.threshold <= 0 {
-		return true, 0
-	}
-	if s.openUntil.IsZero() {
-		return true, 0
-	}
-	if rem := s.openUntil.Sub(b.now()); rem > 0 {
-		return false, rem
-	}
-	if s.probing {
-		return false, b.cooldown / 4
-	}
-	s.probing = true
-	b.transitions.With("half-open").Inc()
-	b.stateGauge.With(b.names[w]).Set(breakerHalfOpen)
-	return true, 0
+	return b.br.Allow(w)
 }
 
 // Success records a completed dispatch on worker w, closing it. A
@@ -116,36 +77,17 @@ func (b *workerBreaker) Allow(w int) (ok bool, retryAfter time.Duration) {
 func (b *workerBreaker) Success(w int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined || b.threshold <= 0 {
-		return
+	if !b.quarantined[w] {
+		b.br.Success(w)
 	}
-	if !s.openUntil.IsZero() || s.probing {
-		b.transitions.With("closed").Inc()
-	}
-	s.consecutive = 0
-	s.openUntil = time.Time{}
-	s.probing = false
-	b.stateGauge.With(b.names[w]).Set(breakerClosed)
 }
 
-// Failure records a failed dispatch on worker w, opening it at the
-// threshold — and immediately re-opening a half-open worker whose probe
-// failed.
+// Failure records a failed dispatch on worker w.
 func (b *workerBreaker) Failure(w int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined || b.threshold <= 0 {
-		return
-	}
-	s.consecutive++
-	if s.probing || s.consecutive >= b.threshold {
-		s.openUntil = b.now().Add(b.cooldown)
-		s.probing = false
-		s.trips++
-		b.transitions.With("open").Inc()
-		b.stateGauge.With(b.names[w]).Set(breakerOpen)
+	if !b.quarantined[w] {
+		b.br.Failure(w)
 	}
 }
 
@@ -155,13 +97,8 @@ func (b *workerBreaker) Failure(w int) {
 func (b *workerBreaker) Release(w int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined || b.threshold <= 0 {
-		return
-	}
-	if s.probing {
-		s.probing = false
-		b.stateGauge.With(b.names[w]).Set(breakerOpen)
+	if !b.quarantined[w] && b.br.Release(w) {
+		b.m.BreakerState.With(b.names[w]).Set(breakerOpen)
 	}
 }
 
@@ -170,35 +107,25 @@ func (b *workerBreaker) Release(w int) {
 func (b *workerBreaker) Open(w int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined {
-		return true
-	}
-	if b.threshold <= 0 {
-		return false
-	}
-	if s.openUntil.IsZero() {
-		return false
-	}
-	return s.openUntil.Sub(b.now()) > 0 || s.probing
+	return b.quarantined[w] || b.br.Open(w)
 }
 
-// Quarantine places worker w in the terminal quarantined state: Allow
-// and Open bar it permanently, Success/Failure/Release are no-ops, and
-// no cooldown or probe ever reopens it. Returns false when w was already
-// quarantined, so callers can make the quorum verdict idempotent.
+// Quarantine places worker w in the terminal quarantined state: the
+// audit verdict that it was outvoted in a result-integrity quorum.
+// Unlike an open breaker it never half-opens — wrong answers are a
+// correctness problem, not a load problem, and only an operator restart
+// clears it. Allow and Open bar w permanently and Success, Failure and
+// Release are no-ops. Returns false when w was already quarantined, so
+// callers can make the quorum verdict idempotent.
 func (b *workerBreaker) Quarantine(w int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := &b.states[w]
-	if s.quarantined {
+	if b.quarantined[w] {
 		return false
 	}
-	s.quarantined = true
-	s.probing = false
-	s.trips++
-	b.transitions.With("quarantined").Inc()
-	b.stateGauge.With(b.names[w]).Set(breakerQuarantined)
+	b.quarantined[w] = true
+	b.m.BreakerTransitions.With("quarantined").Inc()
+	b.m.BreakerState.With(b.names[w]).Set(breakerQuarantined)
 	return true
 }
 
@@ -206,31 +133,21 @@ func (b *workerBreaker) Quarantine(w int) bool {
 func (b *workerBreaker) Quarantined(w int) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.states[w].quarantined
+	return b.quarantined[w]
 }
 
-// Snapshot lists every worker's breaker state for /statusz.
+// Snapshot lists every worker's breaker state for /statusz. A
+// quarantine counts as one more trip.
 func (b *workerBreaker) Snapshot() []WorkerBreakerStatus {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make([]WorkerBreakerStatus, len(b.names))
 	for w, name := range b.names {
-		s := b.states[w]
-		st := WorkerBreakerStatus{Worker: name, State: "closed", Consecutive: s.consecutive, Trips: s.trips}
-		if s.quarantined {
-			st.State = "quarantined"
-			out[w] = st
-			continue
+		st := b.br.Status(w)
+		if b.quarantined[w] {
+			st = qos.BreakerStatus{State: "quarantined", Consecutive: st.Consecutive, Trips: st.Trips + 1}
 		}
-		if !s.openUntil.IsZero() {
-			if rem := s.openUntil.Sub(b.now()); rem > 0 {
-				st.State = "open"
-				st.RetryAfterSec = int64(rem/time.Second) + 1
-			} else {
-				st.State = "half-open"
-			}
-		}
-		out[w] = st
+		out[w] = WorkerBreakerStatus{Worker: name, BreakerStatus: st}
 	}
 	return out
 }

@@ -209,8 +209,8 @@ func TestRingOwnershipIsConsistent(t *testing.T) {
 }
 
 func TestBackoffGrowthCapAndRetryAfter(t *testing.T) {
-	rng := newLockedRand(1)
-	b := &backoff{base: 10 * time.Millisecond, cap: 80 * time.Millisecond, rng: rng}
+	rng := newJitterRand(1)
+	b := &RetryPacer{base: 10 * time.Millisecond, cap: 80 * time.Millisecond, rng: rng}
 	wantWindows := [][2]time.Duration{
 		{5 * time.Millisecond, 10 * time.Millisecond},
 		{10 * time.Millisecond, 20 * time.Millisecond},
@@ -220,25 +220,25 @@ func TestBackoffGrowthCapAndRetryAfter(t *testing.T) {
 		{40 * time.Millisecond, 80 * time.Millisecond},
 	}
 	for i, win := range wantWindows {
-		d := b.next(0)
+		d := b.Next(0)
 		if d < win[0] || d > win[1] {
 			t.Errorf("attempt %d backoff %v outside [%v, %v]", i, d, win[0], win[1])
 		}
 	}
 	// An explicit Retry-After hint is honored (never shortened), jittered
 	// by at most 25%, and capped.
-	hb := &backoff{base: time.Millisecond, cap: 80 * time.Millisecond, rng: rng}
-	if d := hb.next(40 * time.Millisecond); d < 40*time.Millisecond || d > 50*time.Millisecond {
+	hb := &RetryPacer{base: time.Millisecond, cap: 80 * time.Millisecond, rng: rng}
+	if d := hb.Next(40 * time.Millisecond); d < 40*time.Millisecond || d > 50*time.Millisecond {
 		t.Errorf("hinted backoff %v outside [40ms, 50ms]", d)
 	}
-	if d := hb.next(10 * time.Second); d < 80*time.Millisecond || d > 100*time.Millisecond {
+	if d := hb.Next(10 * time.Second); d < 80*time.Millisecond || d > 100*time.Millisecond {
 		t.Errorf("capped hint %v outside [80ms, 100ms]", d)
 	}
 }
 
 func TestParseRetryAfterAndRetryableStatus(t *testing.T) {
 	h := http.Header{}
-	if d := parseRetryAfter(h); d != 0 {
+	if d := ParseRetryAfterHeader(h); d != 0 {
 		t.Errorf("absent header = %v", d)
 	}
 	for raw, want := range map[string]time.Duration{
@@ -246,13 +246,13 @@ func TestParseRetryAfterAndRetryableStatus(t *testing.T) {
 		"Tue, 29 Oct 2024 16:56:32 GMT": 0,
 	} {
 		h.Set("Retry-After", raw)
-		if d := parseRetryAfter(h); d != want {
-			t.Errorf("parseRetryAfter(%q) = %v, want %v", raw, d, want)
+		if d := ParseRetryAfterHeader(h); d != want {
+			t.Errorf("ParseRetryAfterHeader(%q) = %v, want %v", raw, d, want)
 		}
 	}
 	for code, want := range map[int]bool{429: true, 502: true, 503: true, 504: true, 200: false, 400: false, 500: false} {
-		if got := retryableStatus(code); got != want {
-			t.Errorf("retryableStatus(%d) = %v", code, got)
+		if got := RetryableStatus(code); got != want {
+			t.Errorf("RetryableStatus(%d) = %v", code, got)
 		}
 	}
 }
@@ -324,8 +324,32 @@ func TestWorkerBreakerLifecycle(t *testing.T) {
 		t.Fatal("probe after re-trip denied")
 	}
 	b.Release(0)
+	if got := m.BreakerState.With("a").Value(); got != breakerOpen {
+		t.Errorf("breaker state gauge after an abandoned probe = %v, want open", got)
+	}
 	if ok, _ := b.Allow(0); !ok {
 		t.Fatal("released probe slot not reclaimable")
+	}
+}
+
+// TestWorkerBreakerStatusJSON pins the field names /statusz emits for
+// each worker's breaker: closed, open with its retry hint, quarantined.
+func TestWorkerBreakerStatusJSON(t *testing.T) {
+	now := time.Unix(1000, 0)
+	b := newWorkerBreaker([]string{"a", "b", "c"}, 2, 10*time.Second, func() time.Time { return now }, NewMetrics(telemetry.NewRegistry()))
+	b.Failure(0)
+	b.Failure(1)
+	b.Failure(1)
+	b.Quarantine(2)
+	got, err := json.Marshal(b.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"worker":"a","state":"closed","consecutive_failures":1,"trips":0},` +
+		`{"worker":"b","state":"open","consecutive_failures":2,"trips":1,"retry_after_sec":11},` +
+		`{"worker":"c","state":"quarantined","consecutive_failures":0,"trips":1}]`
+	if string(got) != want {
+		t.Errorf("breaker snapshot JSON\n got %s\nwant %s", got, want)
 	}
 }
 

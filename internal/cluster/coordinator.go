@@ -15,6 +15,7 @@ import (
 
 	"bcnphase/internal/qos"
 	"bcnphase/internal/runstate"
+	"bcnphase/internal/seeded"
 	"bcnphase/internal/sweep"
 	"bcnphase/internal/telemetry"
 )
@@ -133,7 +134,7 @@ type Coordinator struct {
 	m       *Metrics
 	breaker *workerBreaker
 	client  *http.Client
-	rng     *lockedRand
+	rng     *seeded.Locked
 
 	mu       sync.Mutex
 	alive    []bool
@@ -228,7 +229,7 @@ func New(cfg Config) (*Coordinator, error) {
 		ring:     newRing(cfg.Workers),
 		m:        NewMetrics(cfg.Registry),
 		client:   cfg.Client,
-		rng:      newLockedRand(cfg.Seed),
+		rng:      newJitterRand(cfg.Seed),
 		alive:    make([]bool, len(cfg.Workers)),
 		draining: make([]bool, len(cfg.Workers)),
 		misses:   make([]int, len(cfg.Workers)),
@@ -888,7 +889,7 @@ func (c *Coordinator) dispatch(ctx context.Context, st *sweepState, w int, sr *s
 	if err != nil {
 		return ShardResult{}, err
 	}
-	bo := &backoff{base: c.cfg.RetryBase, cap: c.cfg.RetryCap, rng: c.rng}
+	bo := &RetryPacer{base: c.cfg.RetryBase, cap: c.cfg.RetryCap, rng: c.rng}
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -911,7 +912,7 @@ func (c *Coordinator) dispatch(ctx context.Context, st *sweepState, w int, sr *s
 			return ShardResult{}, err
 		}
 		select {
-		case <-time.After(bo.next(retryAfter)):
+		case <-time.After(bo.Next(retryAfter)):
 		case <-ctx.Done():
 			return ShardResult{}, ctx.Err()
 		case <-c.stop:
@@ -989,8 +990,8 @@ func (c *Coordinator) postShard(ctx context.Context, w int, sh *ShardSpec, body 
 		}
 		err := fmt.Errorf("cluster: worker %s answered shard %d with status %d: %s",
 			c.cfg.Workers[w], sh.Index, resp.StatusCode, truncate(raw, 200))
-		if retryableStatus(resp.StatusCode) {
-			return ShardResult{}, parseRetryAfter(resp.Header), err
+		if RetryableStatus(resp.StatusCode) {
+			return ShardResult{}, ParseRetryAfterHeader(resp.Header), err
 		}
 		return ShardResult{}, -1, err
 	}

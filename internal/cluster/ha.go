@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"bcnphase/internal/seeded"
 	"bcnphase/internal/telemetry"
 )
 
@@ -108,7 +109,7 @@ type HANode struct {
 	client   *http.Client
 	registry *telemetry.Registry
 	repl     *replicator
-	rng      *lockedRand
+	rng      *seeded.Locked
 
 	// applyMu serializes journal writes that arrive from peers
 	// (replication batches, snapshot lines) so their check-then-append
@@ -172,7 +173,7 @@ func NewHANode(cfg HAConfig) (*HANode, error) {
 		cfg:      cfg,
 		client:   cfg.Client,
 		registry: cfg.Registry,
-		rng:      newLockedRand(cfg.Seed),
+		rng:      newJitterRand(cfg.Seed),
 		role:     RoleFollower,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

@@ -1,53 +1,25 @@
 package cluster
 
 import (
-	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
+
+	"bcnphase/internal/seeded"
 )
 
-// backoff paces retries of one shard dispatch: exponential growth with
-// full jitter, capped, and overridden by the worker's explicit
-// Retry-After feedback when present. Jitter matters as much as the
-// exponent — N clients that shed together and retry on the same
-// schedule re-collide forever (the oscillation the related work warns
-// about); randomizing within the window decorrelates them.
-type backoff struct {
+// RetryPacer paces retries: exponential growth with full jitter,
+// capped, and overridden by the server's explicit Retry-After feedback
+// when present. It is the one retry schedule in the repo: coordinator
+// shard dispatch, bcnd -post and bcnsweep -cluster all use it. Jitter
+// matters as much as the exponent — N clients that shed together and
+// retry on the same schedule re-collide forever (the oscillation the
+// related work warns about); randomizing within the window
+// decorrelates them. A pacer serves one retry loop.
+type RetryPacer struct {
 	base, cap time.Duration
 	attempt   int
-	rng       *lockedRand
-}
-
-// next returns the wait before the next attempt. retryAfter is the
-// worker's Retry-After hint (0 when absent): an explicit hint is
-// honored — capped, with a small jitter so simultaneous retriers still
-// spread — while absent hints fall back to jittered exponential growth.
-func (b *backoff) next(retryAfter time.Duration) time.Duration {
-	defer func() { b.attempt++ }()
-	if retryAfter > 0 {
-		if retryAfter > b.cap {
-			retryAfter = b.cap
-		}
-		// Up to +25% jitter on top of the hint, never below it.
-		return retryAfter + time.Duration(b.rng.Int63n(int64(retryAfter)/4+1))
-	}
-	d := b.base << b.attempt
-	if d > b.cap || d <= 0 {
-		d = b.cap
-	}
-	// Full jitter in [d/2, d].
-	return d/2 + time.Duration(b.rng.Int63n(int64(d)/2+1))
-}
-
-// RetryPacer is the exported face of the dispatch backoff, for the
-// client binaries (bcnd -post, bcnsweep -cluster): jittered exponential
-// growth that honors explicit Retry-After feedback. A herd of clients
-// shed together MUST each jitter independently — retrying on the shared
-// hint verbatim re-collides the herd every cycle.
-type RetryPacer struct {
-	b backoff
+	rng       *seeded.Locked
 }
 
 // NewRetryPacer builds a pacer with the given base and cap (zeros get
@@ -60,28 +32,35 @@ func NewRetryPacer(base, cap time.Duration, seed int64) *RetryPacer {
 	if cap <= 0 {
 		cap = 10 * time.Second
 	}
-	return &RetryPacer{b: backoff{base: base, cap: cap, rng: newLockedRand(seed)}}
+	return &RetryPacer{base: base, cap: cap, rng: newJitterRand(seed)}
 }
 
-// Next returns the jittered wait before the next attempt. retryAfter is
-// the server's Retry-After hint, 0 when absent.
+// Next returns the wait before the next attempt. retryAfter is the
+// server's Retry-After hint (0 when absent): an explicit hint is
+// honored — capped, with a small jitter so simultaneous retriers still
+// spread — while absent hints fall back to jittered exponential growth.
 func (p *RetryPacer) Next(retryAfter time.Duration) time.Duration {
-	return p.b.next(retryAfter)
+	defer func() { p.attempt++ }()
+	if retryAfter > 0 {
+		if retryAfter > p.cap {
+			retryAfter = p.cap
+		}
+		// Up to +25% jitter on top of the hint, never below it.
+		return retryAfter + time.Duration(p.rng.Int63n(int64(retryAfter)/4+1))
+	}
+	d := p.base << p.attempt
+	if d > p.cap || d <= 0 {
+		d = p.cap
+	}
+	// Full jitter in [d/2, d].
+	return d/2 + time.Duration(p.rng.Int63n(int64(d)/2+1))
 }
 
-// RetryableStatus exposes the transient-status classification to the
-// client binaries, so every retry loop shares one verdict table.
-func RetryableStatus(code int) bool { return retryableStatus(code) }
-
-// ParseRetryAfterHeader exposes Retry-After parsing (delay-seconds
-// form only) to the client binaries.
-func ParseRetryAfterHeader(h http.Header) time.Duration { return parseRetryAfter(h) }
-
-// retryableStatus reports whether an HTTP status from a worker is worth
+// RetryableStatus reports whether an HTTP status from a server is worth
 // retrying: overload shed (429), gateway failures (502, 504) and
 // unavailability (503, e.g. a draining worker) are transient; anything
 // else is a verdict about the request itself.
-func retryableStatus(code int) bool {
+func RetryableStatus(code int) bool {
 	switch code {
 	case http.StatusTooManyRequests, http.StatusBadGateway,
 		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
@@ -90,9 +69,9 @@ func retryableStatus(code int) bool {
 	return false
 }
 
-// parseRetryAfter reads a Retry-After header as delay seconds (the only
+// ParseRetryAfterHeader reads a Retry-After header as delay seconds (the only
 // form the serving layer emits); malformed or HTTP-date values yield 0.
-func parseRetryAfter(h http.Header) time.Duration {
+func ParseRetryAfterHeader(h http.Header) time.Duration {
 	v := h.Get("Retry-After")
 	if v == "" {
 		return 0
@@ -104,31 +83,13 @@ func parseRetryAfter(h http.Header) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// lockedRand is a mutex-guarded rand.Rand: dispatch goroutines share
-// one deterministic (seedable) jitter source without a data race.
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
+// newJitterRand returns the jitter source the dispatch goroutines
+// share. Seed 0 seeds from the clock, so independent processes (retrying
+// clients, HA replicas) never jitter in lockstep; a fixed seed makes
+// the sequence reproducible for tests.
+func newJitterRand(seed int64) *seeded.Locked {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (l *lockedRand) Int63n(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Int63n(n)
-}
-
-func (l *lockedRand) Float64() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Float64()
+	return seeded.NewLocked(seed)
 }

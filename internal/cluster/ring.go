@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"bcnphase/internal/seeded"
 )
 
 // ring is a consistent-hash ring over worker indices. Each worker owns
@@ -26,19 +28,13 @@ const ringReplicas = 64
 func hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	x := h.Sum64()
 	// Splitmix64 finalizer: FNV alone leaves the positions of short,
 	// near-identical inputs (worker URLs differing in one port digit,
 	// replica suffixes "#0".."#63", sequential shard keys) correlated
 	// enough that one worker can end up owning almost no arc. The
 	// avalanche decorrelates them; nothing durable depends on these
 	// positions, so the mix is free to change the placement.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return seeded.Mix(h.Sum64())
 }
 
 // newRing places n workers (identified by their stable names, typically

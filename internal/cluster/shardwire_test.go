@@ -297,7 +297,7 @@ func TestResumeWithHolesDispatchesMissingRuns(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	want := [][2]int{{18, 20}, {23, 27}, {28, 31}}
-	if len(sent) != 1 || sent[0].Index != 1 || !reflect.DeepEqual(sent[0].Runs, want) {
+	if len(sent) != 1 || sent[0].Index != 1 || !reflect.DeepEqual([][2]int(sent[0].Runs), want) {
 		t.Fatalf("resume dispatched %+v, want only shard 1 with runs %v", sent, want)
 	}
 	if n := sent[0].Size(); n != 9 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -34,13 +35,76 @@ const MaxWireBytes = 4 << 20
 // its missing points may have several. The worker derives each point
 // with the same code GainGrid.Points runs (ShardSpec.Points).
 type ShardSpec struct {
-	Grid  GainGrid `json:"grid"`
-	Index int      `json:"index"`
-	Runs  [][2]int `json:"runs"`
+	Grid  GainGrid     `json:"grid"`
+	Index int          `json:"index"`
+	Runs  indexRunList `json:"runs"`
 	// LegacyPoints catches the float point list coordinators sent
 	// before index runs, only so Validate can refuse it by name.
 	LegacyPoints json.RawMessage `json:"points,omitempty"`
 }
+
+// indexRunList decodes like [][2]int but refuses a run that is not
+// exactly a pair of integers: encoding/json would silently drop a third
+// element or zero-fill a missing one.
+type indexRunList [][2]int
+
+// UnmarshalJSON reads a JSON array of [lo, hi) pairs. encoding/json
+// has already checked b's syntax, so only the shape is checked here; a
+// hand scan keeps the shard request path free of a second decode.
+func (l *indexRunList) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*l = nil
+		return nil
+	}
+	i := 0
+	space := func() {
+		for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+			i++
+		}
+	}
+	next := func(c byte) bool {
+		space()
+		if i < len(b) && b[i] == c {
+			i++
+			return true
+		}
+		return false
+	}
+	integer := func() (int, bool) {
+		space()
+		j := i
+		for i < len(b) && (b[i] == '-' || '0' <= b[i] && b[i] <= '9') {
+			i++
+		}
+		n, err := strconv.Atoi(string(b[j:i]))
+		return n, err == nil
+	}
+	runs := indexRunList{}
+	if !next('[') {
+		return errRunShape
+	}
+	for !next(']') {
+		if len(runs) > 0 && !next(',') {
+			return errRunShape
+		}
+		if !next('[') {
+			return errRunShape
+		}
+		lo, ok := integer()
+		if !ok || !next(',') {
+			return errRunShape
+		}
+		hi, ok := integer()
+		if !ok || !next(']') {
+			return errRunShape
+		}
+		runs = append(runs, [2]int{lo, hi})
+	}
+	*l = runs
+	return nil
+}
+
+var errRunShape = fmt.Errorf("%w: shard: runs must be an array of [lo, hi) integer pairs", ErrWire)
 
 // Validate checks a shard assignment's feasibility.
 func (s *ShardSpec) Validate() error {
@@ -150,16 +214,12 @@ type doneMarker struct {
 	Points int `json:"points"`
 }
 
-// PlanShards enumerates the grid and chunks it into shards of at most
+// planShards enumerates the grid and chunks it into shards of at most
 // size points, in grid order. The plan depends only on the grid and the
 // shard size — never on the worker set — so shard composition (and with
 // it every done-marker key) is stable across restarts and worker churn.
-func PlanShards(grid GainGrid, size int) (fingerprint string, points []GainPoint, shards []Shard, err error) {
-	return planShards(grid, size, true)
-}
-
-// planShards is PlanShards; with keys false it leaves every Shard.Keys
-// nil, which is all a coordinator without a journal needs.
+// With keys false it leaves every Shard.Keys nil, which is all a
+// coordinator without a journal needs.
 func planShards(grid GainGrid, size int, keys bool) (fingerprint string, points []GainPoint, shards []Shard, err error) {
 	if err := grid.Validate(); err != nil {
 		return "", nil, nil, err

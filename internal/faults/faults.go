@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"bcnphase/internal/seeded"
 )
 
 // ErrConfig marks an invalid fault configuration.
@@ -180,31 +182,21 @@ func NewPlan(cfg Config) (*Plan, error) {
 	}
 	p := &Plan{
 		cfg:     cfg,
-		drop:    stream(seed, 1),
-		jitter:  stream(seed, 2),
-		reorder: stream(seed, 3),
-		corrupt: stream(seed, 4),
-		data:    stream(seed, 5),
+		drop:    seeded.Stream(seed, 1),
+		jitter:  seeded.Stream(seed, 2),
+		reorder: seeded.Stream(seed, 3),
+		corrupt: seeded.Stream(seed, 4),
+		data:    seeded.Stream(seed, 5),
 	}
 	// Window phases are seeded too, so periodic faults do not all start
 	// aligned at t = 0.
 	if cfg.FlapPeriodNs > 0 {
-		p.flapPhase = stream(seed, 6).Int63n(cfg.FlapPeriodNs)
+		p.flapPhase = seeded.Stream(seed, 6).Int63n(cfg.FlapPeriodNs)
 	}
 	if cfg.BlackoutPeriodNs > 0 {
-		p.blackoutPhase = stream(seed, 7).Int63n(cfg.BlackoutPeriodNs)
+		p.blackoutPhase = seeded.Stream(seed, 7).Int63n(cfg.BlackoutPeriodNs)
 	}
 	return p, nil
-}
-
-// stream derives an independent RNG for one fault dimension via a
-// splitmix64 scramble of (seed, id).
-func stream(seed, id int64) *rand.Rand {
-	z := uint64(seed) + uint64(id)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
 }
 
 // Config returns the plan's (normalized) configuration.

@@ -335,29 +335,6 @@ func TestGrid(t *testing.T) {
 	}
 }
 
-func TestNullcline(t *testing.T) {
-	// For the harmonic oscillator x'=y, y'=-x: the dx/dt=0 nullcline is
-	// the x-axis (y=0); the dy/dt=0 nullcline is the y-axis (x=0).
-	pts, err := Nullcline(Companion(0, 1).Field(), 0, -1, 1, -1, 1, 21)
-	if err != nil {
-		t.Fatalf("Nullcline: %v", err)
-	}
-	if len(pts) == 0 {
-		t.Fatal("no nullcline points found")
-	}
-	for _, p := range pts {
-		if math.Abs(p[1]) > 1e-9 {
-			t.Errorf("dx/dt nullcline point (%v, %v) should have y=0", p[0], p[1])
-		}
-	}
-	if _, err := Nullcline(Companion(0, 1).Field(), 2, -1, 1, -1, 1, 21); err == nil {
-		t.Error("bad component should error")
-	}
-	if _, err := Nullcline(Companion(0, 1).Field(), 0, -1, 1, -1, 1, 1); err == nil {
-		t.Error("n < 2 should error")
-	}
-}
-
 func TestBox(t *testing.T) {
 	var zero Box
 	if !zero.Zero() {

@@ -41,7 +41,12 @@
 //     front of the durable journal, so hot re-requests never touch a
 //     worker even in brownout.
 //
-// Every mechanism emits qos_* series through internal/telemetry.
+//   - Breaker: the repo's one keyed circuit breaker. internal/serve
+//     keys it by parameter region, internal/cluster by worker index
+//     (with quarantine layered on top); each reports transitions
+//     through its own hook and series.
+//
+// The other mechanisms emit qos_* series through internal/telemetry.
 package qos
 
 import "time"

@@ -50,6 +50,8 @@ func FuzzDecodeSpec(f *testing.F) {
 		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":2},"index":0,"runs":[[0,4]]}}`,
 		`{"kind":"shard","timeout_ms":900,"shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3,"invariants":"record"},"index":2,"runs":[[0,2],[3,4],[7,9]]}}`,
 		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[0,2,9]]}}`,
+		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[7]]}}`,
 		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[4,5],[0,1]]}}`,
 		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[0,3],[2,5]]}}`,
 		`{"kind":"shard","shard":{"grid":{"b_over_q0":5,"gi_lo":0.05,"gi_hi":1,"gd_lo":0.001,"gd_hi":0.1,"steps":3},"index":0,"runs":[[0,2],[2,4]]}}`,

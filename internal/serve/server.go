@@ -118,7 +118,7 @@ type Config struct {
 // Handler, stop with Drain.
 type Server struct {
 	cfg     Config
-	breaker *Breaker
+	breaker *qos.Breaker[string]
 	cache   Cache
 	now     func() time.Time
 
@@ -200,7 +200,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		breaker:     NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 		cache:       cfg.Cache,
 		now:         cfg.Now,
 		workerSlots: make(chan struct{}, cfg.Workers),
@@ -212,7 +211,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.metrics = newServerMetrics(s.registry, s)
 	s.jobm = newJobMetrics(s.registry)
-	s.breaker.transitions = s.metrics.breakerTransitions
+	s.breaker = qos.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now, func(_ string, to string) {
+		s.metrics.breakerTransitions.With(to).Inc()
+	})
 	if cfg.QoS != nil {
 		s.qos = newQoSState(&cfg)
 		// The artifact cache fronts the durable store for every lookup
@@ -772,6 +773,21 @@ type Status struct {
 	Lease *LeaseStatus `json:"lease,omitempty"`
 }
 
+// RegionStatus is one parameter region's breaker state for /statusz.
+type RegionStatus struct {
+	Region string `json:"region"`
+	qos.BreakerStatus
+}
+
+func (s *Server) breakerSnapshot() []RegionStatus {
+	snap := s.breaker.Snapshot()
+	out := make([]RegionStatus, 0, len(snap))
+	for region, st := range snap {
+		out = append(out, RegionStatus{Region: region, BreakerStatus: st})
+	}
+	return out
+}
+
 // StatusSnapshot assembles the live Status.
 func (s *Server) StatusSnapshot() Status {
 	s.mu.Lock()
@@ -796,7 +812,7 @@ func (s *Server) StatusSnapshot() Status {
 		BreakerRejects: s.metrics.breakerRejects.Value(),
 		BreakerTrips:   s.metrics.breakerTransitions.With("open").Value(),
 		JournalLen:     s.cache.Len(),
-		Breaker:        s.breaker.Snapshot(),
+		Breaker:        s.breakerSnapshot(),
 		QoS:            s.qosStatus(),
 		Lease:          s.witness.status(),
 	}

@@ -336,6 +336,14 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
+// fakeClock is a manually advanced clock for deterministic breaker
+// tests.
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+
 func TestBreakerQuarantinesRegionOverHTTP(t *testing.T) {
 	checkGoroutines(t)
 	clk := newFakeClock()
@@ -376,6 +384,21 @@ func TestBreakerQuarantinesRegionOverHTTP(t *testing.T) {
 	}
 	if eb.Reason != "breaker-open" || resp.Header.Get("Retry-After") == "" {
 		t.Errorf("breaker rejection: %+v retry=%q", eb, resp.Header.Get("Retry-After"))
+	}
+	// /statusz's breaker entry keeps its field names and order.
+	raw, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries struct{ Breaker []json.RawMessage }
+	rawBody := readBody(t, raw)
+	raw.Body.Close()
+	if err := json.Unmarshal(rawBody, &entries); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"region":"` + eb.Region + `","state":"open","consecutive_failures":3,"trips":1,"retry_after_sec":31}`
+	if len(entries.Breaker) != 1 || string(entries.Breaker[0]) != want {
+		t.Errorf("statusz breaker = %s, want [%s]", entries.Breaker, want)
 	}
 	// A healthy region is untouched.
 	if resp := postSpec(t, ts.URL, marshalSpec(t, solveSpec())); resp.StatusCode != http.StatusOK {

@@ -192,6 +192,11 @@ func TestShardWireRejects(t *testing.T) {
 		"too many points":   shard(64, fmt.Sprintf(`,"runs":[[0,%d]]`, cluster.MaxShardPoints+1)),
 		"runs and points":   shard(2, `,"runs":[[0,1]],"points":[{"gi":0.05,"gd":0.001}]`),
 		"legacy points":     legacy,
+		"three-element run": shard(3, `,"runs":[[0,2,9]]`),
+		"one-element run":   shard(3, `,"runs":[[7]]`),
+		"fractional index":  shard(3, `,"runs":[[0,1.5]]`),
+		"string index":      shard(3, `,"runs":[["0",2]]`),
+		"object run":        shard(3, `,"runs":[{"lo":0,"hi":2}]`),
 	}
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for name, body := range cases {
@@ -211,6 +216,7 @@ func TestShardWireRejects(t *testing.T) {
 		"holes":          shard(3, `,"runs":[[0,2],[3,4],[7,9]]`),
 		"most points":    shard(64, fmt.Sprintf(`,"runs":[[0,%d]]`, cluster.MaxShardPoints)),
 		"last grid cell": shard(64, `,"runs":[[4095,4096]]`),
+		"spaced runs":    shard(3, `,"runs": [ [0 , 2] ,[3,4] ]`),
 	} {
 		if _, err := DecodeSpec(strings.NewReader(body), 0); err != nil {
 			t.Errorf("%s: valid shard spec rejected: %v", name, err)

@@ -17,13 +17,13 @@ type BatchFunc[P, R any] func(ctx context.Context, points []P, out []R) error
 // RunBatched evaluates points through fn in contiguous spans of at most
 // batchSize, with Run's full supervision applied per span: bounded
 // workers, panic recovery, per-span deadline (Options.PointTimeout
-// bounds one whole span here) and retries. Results come back in input
-// order, one per point; a failed span marks every point it covers with
-// the span's error.
+// bounds one whole span here). Results come back in input order, one
+// per point; a failed span marks every point it covers with the span's
+// error.
 //
-// Each attempt hands fn a private output slice and the results are
+// Each evaluation gets a private output slice and the results are
 // copied out only after the span succeeds, so an abandoned (timed-out)
-// evaluation racing its replacement cannot corrupt visible results.
+// evaluation that keeps writing cannot corrupt visible results.
 func RunBatched[P, R any](ctx context.Context, points []P, batchSize int, fn BatchFunc[P, R], opts Options) ([]Result[P, R], error) {
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil batch evaluation function")
@@ -41,9 +41,8 @@ func RunBatched[P, R any](ctx context.Context, points []P, batchSize int, fn Bat
 		spans = append(spans, span{len(spans), lo, hi})
 	}
 
-	// Span wall-clock, written atomically because a timed-out attempt
-	// abandoned by evalOnce may still finish concurrently with its
-	// replacement.
+	// Span wall-clock, written atomically because a timed-out evaluation
+	// abandoned by evalOnce may still finish while results are read.
 	wallNanos := make([]atomic.Int64, len(spans))
 
 	// The inner Run must not also count spans as points; per-point
@@ -74,7 +73,7 @@ func RunBatched[P, R any](ctx context.Context, points []P, batchSize int, fn Bat
 			results[j] = r
 		}
 		if opts.Metrics != nil {
-			opts.Metrics.observeSpan(s.hi-s.lo, sr.Attempts, sr.Err != nil,
+			opts.Metrics.observeSpan(s.hi-s.lo, sr.Err != nil,
 				time.Duration(wallNanos[s.idx].Load()))
 		}
 	}

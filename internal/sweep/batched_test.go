@@ -3,8 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -86,56 +84,29 @@ func TestRunBatchedPanicRecovered(t *testing.T) {
 	}
 }
 
-func TestRunBatchedRetries(t *testing.T) {
-	attempts := 0
-	fn := func(_ context.Context, pts []int, out []int) error {
-		attempts++
-		if attempts == 1 {
-			return fmt.Errorf("transient")
-		}
-		for i := range pts {
-			out[i] = 7
-		}
-		return nil
-	}
-	results, err := RunBatched(context.Background(), []int{1, 2}, 10, fn,
-		Options{Workers: 1, Retries: 2, Backoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Attempts != 2 || results[0].Value != 7 {
-		t.Fatalf("retry not surfaced: %+v", results[0])
-	}
-}
-
 func TestRunBatchedAbandonedAttemptCannotCorrupt(t *testing.T) {
-	// The first attempt ignores its deadline and keeps writing into its
-	// own out slice long after abandonment; the retry succeeds fast. The
-	// visible results must come exclusively from the successful attempt.
-	release := make(chan struct{})
-	var attempt atomic.Int32
+	// The evaluation ignores its deadline and keeps writing into its own
+	// out slice long after abandonment. The visible results must carry
+	// the deadline error and none of the late writes.
+	release, wrote := make(chan struct{}), make(chan struct{})
 	fn := func(ctx context.Context, pts []int, out []int) error {
-		if attempt.Add(1) == 1 {
-			<-release // ignore ctx: simulate a stuck evaluator
-			for i := range out {
-				out[i] = -999 // late garbage into a private slice
-			}
-			return nil
-		}
-		for i, p := range pts {
-			out[i] = p * 10
+		defer close(wrote)
+		<-release // ignore ctx: simulate a stuck evaluator
+		for i := range out {
+			out[i] = -999 // late garbage into a private slice
 		}
 		return nil
 	}
 	results, err := RunBatched(context.Background(), []int{1, 2, 3}, 3, fn,
-		Options{Workers: 1, PointTimeout: 20 * time.Millisecond, Retries: 1})
+		Options{Workers: 1, PointTimeout: 20 * time.Millisecond})
 	close(release)
-	if err != nil {
-		t.Fatal(err)
+	<-wrote
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
 	for i, r := range results {
-		if r.Value != (i+1)*10 {
-			t.Fatalf("point %d corrupted by abandoned attempt: %+v", i, r)
+		if r.Value != 0 || !errors.Is(r.Err, context.DeadlineExceeded) {
+			t.Fatalf("point %d corrupted by abandoned evaluation: %+v", i, r)
 		}
 	}
 }

